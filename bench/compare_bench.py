@@ -9,7 +9,9 @@ counter increase is flagged — a convergence or algorithmic regression hiding
 inside an apparently-fine wall time is exactly what this catches.
 
 Benchmarks present on only one side are reported informationally and are not
-failures: PRs add trajectory points.
+failures: PRs add trajectory points. Likewise a guarded counter that only the
+candidate reports (a counter newer than the baseline) is listed as new, never
+flagged as a regression.
 
 Exit status: 0 = clean, 1 = at least one regression flagged. CI runs this as
 an advisory (continue-on-error) step against the previous PR's checked-in
@@ -98,6 +100,7 @@ def main():
 
     regressions = []
     improvements = []
+    new_counters = []
     only_base = sorted(set(base) - set(cand))
     only_cand = sorted(set(cand) - set(base))
 
@@ -119,7 +122,9 @@ def main():
                     f"{key}: real_time {bt:.4g} -> {ct:.4g} {b['time_unit']} "
                     f"({100 * (ratio - 1):.1f}%)")
         for counter in guarded_counters(base_report, cand_report):
-            if counter in b and counter in c and c[counter] > b[counter]:
+            if counter in c and counter not in b:
+                new_counters.append(f"{key}: {counter} = {c[counter]:g}")
+            elif counter in b and counter in c and c[counter] > b[counter]:
                 regressions.append(
                     f"{key}: {counter} {b[counter]:g} -> {c[counter]:g} "
                     "(solver counters must not grow)")
@@ -130,6 +135,8 @@ def main():
         print(f"note: only in baseline: {key}")
     for key in only_cand:
         print(f"note: new in candidate: {key}")
+    for line in new_counters:
+        print(f"note: new counter: {line}")
     for line in improvements:
         print(f"improved: {line}")
     if regressions:

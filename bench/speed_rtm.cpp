@@ -5,8 +5,10 @@
 // trajectory point. The counters tell the cost story: transient_steps is
 // the work the plant did, power_updates is how often the backend actually
 // had to re-ingest powers (once per epoch, not per step — the interior
-// steps ride the projection caches), and interventions is the policy's own
-// activity.
+// steps ride the projection caches), transient_advances is how many exact
+// mode-space sweeps the spectral plant ran (about one per epoch: held-power
+// steps are deferred and advanced together when the field is read), and
+// interventions is the policy's own activity.
 #include <benchmark/benchmark.h>
 
 #include "core/cosim.hpp"
@@ -75,6 +77,8 @@ void BM_RtmLongTrace(benchmark::State& state) {
   state.counters["interventions"] = static_cast<double>(last.metrics.interventions);
   state.counters["power_updates"] =
       static_cast<double>(last.metrics.backend_stats.transient_power_updates);
+  state.counters["transient_advances"] =
+      static_cast<double>(last.metrics.backend_stats.transient_advances);
   state.counters["modes"] = static_cast<double>(last.metrics.backend_stats.modes);
   state.counters["peak_K"] = last.metrics.peak_temperature;
   state.counters["throughput_pct"] = last.metrics.throughput_fraction * 100.0;

@@ -16,6 +16,7 @@ constexpr BackendCounterField kBackendFields[] = {
     {"fft_calls", &BackendCostStats::fft_calls, true},
     {"transient_steps", &BackendCostStats::transient_steps, true},
     {"transient_power_updates", &BackendCostStats::transient_power_updates, true},
+    {"transient_advances", &BackendCostStats::transient_advances, true},
     {"scenarios", &BackendCostStats::scenarios, false},
     {"batched_matvecs", &BackendCostStats::batched_matvecs, true},
     {"picard_iterations_total", &BackendCostStats::picard_iterations_total, true},

@@ -244,17 +244,16 @@ BackendCostStats FdmBackend::cost_stats() const {
 
 namespace {
 
-/// Basis values cos(m pi x / W) cos(n pi y / H) at each point, one row per
-/// point in the solver's mode order: the dense mode-synthesis operator. One
-/// multiply against surface coefficients evaluates every point at once —
-/// shared by the influence build and the transient gather so the mode
-/// layout cannot diverge between them.
-numerics::Matrix mode_basis_matrix(const SpectralThermalSolver& solver,
-                                   std::span<const SurfaceSample> points) {
+/// Calls store(p, mode, value) with the basis value cos(m pi x_p / W)
+/// cos(n pi y_p / H) of every point p and mode n * modes_x + m: the one
+/// evaluation behind both the point-major and the mode-major table, so the
+/// two layouts hold the same doubles.
+template <class Store>
+void for_each_mode_basis(const SpectralThermalSolver& solver,
+                         std::span<const SurfaceSample> points, Store store) {
   const int mx = solver.modes_x();
   const int my = solver.modes_y();
   const Die& die = solver.die();
-  numerics::Matrix basis(points.size(), static_cast<std::size_t>(solver.mode_count()));
   std::vector<double> cosx(static_cast<std::size_t>(mx));
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (int m = 0; m < mx; ++m) {
@@ -263,23 +262,28 @@ numerics::Matrix mode_basis_matrix(const SpectralThermalSolver& solver,
     for (int n = 0; n < my; ++n) {
       const double cy = std::cos(n * std::numbers::pi * points[p].y / die.height);
       const std::size_t row = static_cast<std::size_t>(n) * mx;
-      for (int m = 0; m < mx; ++m) basis(p, row + m) = cy * cosx[m];
+      for (int m = 0; m < mx; ++m) store(p, row + m, cy * cosx[m]);
     }
   }
-  return basis;
 }
 
-/// Spectral transient field: the per-mode amplitudes plus a cached
-/// mode-synthesis gather matrix, so the per-step block-temperature readback
-/// is one dense matvec instead of n independent cosine sums. The cache is
-/// keyed by the query points — transient drivers ask for the same block
-/// centres every step, so the basis is built once.
+/// Spectral transient field with deferred exact stepping (see
+/// SpectralBackend): the per-mode amplitudes, the pending interval of held
+/// steps not yet advanced, and a cached mode-synthesis gather for the
+/// batched readback. The gather is stored mode-major (modes x points) and
+/// run as one pass over the modes with the points innermost: each point
+/// still sums its modes in ascending order from 0.0 — bitwise the row dot
+/// product of mode_basis_matrix — but the points are independent
+/// accumulators, so the inner loop vectorizes instead of forming one
+/// latency-bound chain. The cache is keyed by the query points; transient
+/// drivers ask for the same block centres every step.
 class SpectralTransientState final : public SolverBackend::TransientState {
  public:
   explicit SpectralTransientState(const SpectralThermalSolver& solver)
       : solver_(&solver), state_(solver.make_transient()) {}
 
   [[nodiscard]] double surface_rise(double x, double y) const override {
+    settle();
     return solver_->surface_rise(state_.surface, x, y);
   }
 
@@ -287,15 +291,47 @@ class SpectralTransientState final : public SolverBackend::TransientState {
                      std::span<double> out) const override {
     PTHERM_REQUIRE(out.size() == points.size(),
                    "TransientState::surface_rises: output size mismatch");
-    if (points.empty()) return;  // the 0 x modes gather would reject the matvec
+    settle();
+    if (points.empty()) return;
     if (!gather_matches(points)) rebuild_gather(points);
-    gather_.multiply(state_.surface.coeff, out);
+    const std::size_t n = points.size();
+    const std::size_t modes = state_.surface.coeff.size();
+    const double* coeff = state_.surface.coeff.data();
+    std::fill(out.begin(), out.end(), 0.0);
+    for (std::size_t mode = 0; mode < modes; ++mode) {
+      const double c = coeff[mode];
+      const double* basis = gather_.data() + mode * n;
+      for (std::size_t p = 0; p < n; ++p) out[p] += basis[p] * c;
+    }
   }
 
-  [[nodiscard]] SpectralThermalSolver::TransientSolution& state() noexcept { return state_; }
+  /// Serves one step of dt under `sources`: settles the pending interval
+  /// first if the sources or the step size change, then defers the step.
+  void step(double dt, const std::vector<HeatSource>& sources) {
+    PTHERM_REQUIRE(dt > 0.0, "step_transient: h must be positive");
+    if (!solver_->holds_transient_sources(state_, sources)) {
+      settle();  // the pending steps ran under the OLD flux
+      solver_->set_transient_sources(state_, sources);
+    }
+    if (pending_steps_ > 0 && dt != pending_h_) settle();
+    pending_h_ = dt;
+    ++pending_steps_;
+  }
+
   [[nodiscard]] const SpectralThermalSolver* solver() const noexcept { return solver_; }
 
  private:
+  /// Advances the field over the pending interval in one exact sweep.
+  /// Only equal steps coalesce, so the interval is count * h with a single
+  /// rounding, and the solver's decay cache (keyed by the advance length)
+  /// keeps hitting when every settle covers the same run of steps.
+  void settle() const {
+    if (pending_steps_ == 0) return;
+    TELEMETRY_SPAN("spectral/advance");
+    solver_->advance_transient(state_, static_cast<double>(pending_steps_) * pending_h_);
+    pending_steps_ = 0;
+  }
+
   [[nodiscard]] bool gather_matches(std::span<const SurfaceSample> points) const {
     if (gather_points_.size() != points.size()) return false;
     for (std::size_t p = 0; p < points.size(); ++p) {
@@ -307,13 +343,21 @@ class SpectralTransientState final : public SolverBackend::TransientState {
   }
 
   void rebuild_gather(std::span<const SurfaceSample> points) const {
-    gather_ = mode_basis_matrix(*solver_, points);
+    const std::size_t n = points.size();
+    gather_.assign(static_cast<std::size_t>(solver_->mode_count()) * n, 0.0);
+    for_each_mode_basis(*solver_, points, [&](std::size_t p, std::size_t mode, double value) {
+      gather_[mode * n + p] = value;
+    });
     gather_points_.assign(points.begin(), points.end());
   }
 
   const SpectralThermalSolver* solver_;
-  SpectralThermalSolver::TransientSolution state_;
-  mutable numerics::Matrix gather_;
+  // Reads settle the pending interval, so the field mutates under const
+  // queries (like the cost counters, the backend layer is not thread-safe).
+  mutable SpectralThermalSolver::TransientSolution state_;
+  mutable long long pending_steps_ = 0;
+  double pending_h_ = 0.0;
+  mutable std::vector<double> gather_;  ///< mode-major: gather_[mode * points + p]
   mutable std::vector<SurfaceSample> gather_points_;
 };
 
@@ -382,9 +426,9 @@ int SpectralBackend::step_transient(TransientState& state, double dt,
   auto* sp_state = dynamic_cast<SpectralTransientState*>(&state);
   PTHERM_REQUIRE(sp_state != nullptr && sp_state->solver() == &solver_,
                  "SpectralBackend: transient state belongs to a different backend");
-  const int iterations = solver_.step_transient(sp_state->state(), dt, sources);
+  sp_state->step(dt, sources);
   ++stats_.transient_steps;
-  return iterations;
+  return 1;
 }
 
 std::vector<double> SpectralBackend::surface_rises(
@@ -414,7 +458,17 @@ BackendCostStats SpectralBackend::cost_stats() const {
   BackendCostStats stats = stats_;
   stats.fft_calls = solver_.fft_calls();
   stats.transient_power_updates = solver_.transient_power_updates();
+  stats.transient_advances = solver_.transient_advances();
   return stats;
+}
+
+numerics::Matrix mode_basis_matrix(const SpectralThermalSolver& solver,
+                                   std::span<const SurfaceSample> points) {
+  numerics::Matrix basis(points.size(), static_cast<std::size_t>(solver.mode_count()));
+  for_each_mode_basis(solver, points, [&](std::size_t p, std::size_t mode, double value) {
+    basis(p, mode) = value;
+  });
+  return basis;
 }
 
 // ------------------------------------------------------------ column builds

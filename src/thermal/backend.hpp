@@ -52,6 +52,10 @@ struct BackendCostStats {
   /// hold powers between control decisions, so this counts epochs — the gap
   /// to transient_steps is what the epoch caches saved.
   long long transient_power_updates = 0;
+  /// Exact mode-space sweeps actually performed (spectral only, like
+  /// `modes`). The spectral backend defers held-power steps and advances
+  /// once per settle, so an epoch-driven driver pays about one per epoch.
+  long long transient_advances = 0;
   // Batched scenario engine (core/scenario_batch) counters, merged in by
   // ScenarioBatch::cost_stats() on top of the backend's own fields.
   long long scenarios = 0;            ///< scenario solves completed
@@ -160,15 +164,15 @@ class SolverBackend {
     /// Batched surface-rise readback into caller storage — what per-step
     /// drivers (the transient cosim's block-temperature readback) call. The
     /// default loops over surface_rise; backends with a faster gather
-    /// (spectral: one dense mode-synthesis matvec over all points) override.
+    /// (spectral: one mode-major synthesis pass over all points) override.
     virtual void surface_rises(std::span<const SurfaceSample> points,
                                std::span<double> out) const;
   };
   [[nodiscard]] virtual std::unique_ptr<TransientState> make_transient_state() const;
 
   /// Advances `state` by dt under `sources`; returns the inner-iteration
-  /// count (CG iterations for FDM; one exact mode-space update for
-  /// spectral).
+  /// count (CG iterations for FDM; 1 for spectral, whose exact mode-space
+  /// update may be deferred until the field is read — see SpectralBackend).
   virtual int step_transient(TransientState& state, double dt,
                              const std::vector<HeatSource>& sources) const;
 
@@ -230,8 +234,15 @@ class FdmBackend final : public SolverBackend {
 
 /// The FFT-accelerated spectral Green's-function solver
 /// (thermal/spectral.hpp) behind the backend interface. Transient-capable:
-/// each step is the exact per-mode exponential update — O(modes) work, no
-/// linear solve, and no dt-dependent accuracy loss.
+/// the per-mode exponential update is exact for piecewise-constant power —
+/// no linear solve, and no dt-dependent accuracy loss — so k held-power
+/// steps of h equal one advance of k*h. step_transient therefore DEFERS:
+/// a step whose sources match the held ones and whose dt matches the
+/// pending steps' only extends the pending interval (O(n) to compare the
+/// sources). The interval is settled — one O(modes x modes_z) advance by
+/// count*h, under the flux that was held over it — when the sources
+/// change, when dt changes, or when the state is read (surface_rise,
+/// surface_rises). dt <= 0 and degenerate sources throw at the step.
 class SpectralBackend final : public SolverBackend {
  public:
   SpectralBackend(Die die, SpectralOptions opts = {});
@@ -297,6 +308,12 @@ class SpectralBackend final : public SolverBackend {
     const FdmThermalSolver& solver, std::span<const HeatSource> sources,
     std::span<const SurfaceSample> samples, bool warm_start,
     BackendCostStats* stats = nullptr);
+
+/// Basis values cos(m pi x / W) cos(n pi y / H) at each point, one row per
+/// point in the solver's mode order: the dense mode-synthesis operator. One
+/// multiply against surface coefficients evaluates every point at once.
+[[nodiscard]] numerics::Matrix mode_basis_matrix(const SpectralThermalSolver& solver,
+                                                 std::span<const SurfaceSample> points);
 
 [[nodiscard]] numerics::Matrix spectral_influence_columns(
     const SpectralThermalSolver& solver, std::span<const HeatSource> sources,

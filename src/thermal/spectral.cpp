@@ -17,6 +17,17 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
+/// Exact decay factor e^{-rate * h}, flushed to exactly 0 below 2^-400.
+/// A flushed factor multiplies terms far under any double rounding, but the
+/// flush keeps the sweep out of subnormal arithmetic (tens of times slower
+/// per operation on x86): a long advance drives a band of high modes'
+/// factors through the subnormal range, and products of two kept factors
+/// (>= 2^-800) stay normal.
+double decay_factor(double rate, double h) {
+  const double d = std::exp(-rate * h);
+  return d < 0x1p-400 ? 0.0 : d;
+}
+
 /// integral of cos(m pi u / extent) over [u0, u1].
 double cosine_footprint_integral(int m, double extent, double u0, double u1) {
   if (m == 0) return u1 - u0;
@@ -709,84 +720,99 @@ SpectralThermalSolver::TransientSolution SpectralThermalSolver::make_transient()
   return state;
 }
 
-bool SpectralThermalSolver::refresh_projections(TransientSolution& state,
+void SpectralThermalSolver::refresh_projections(TransientSolution& state,
                                                 const std::vector<HeatSource>& sources) const {
   const std::size_t n = sources.size();
   const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
-  bool rebuilt = false;
   if (state.proj_key.size() != 4 * n) {
     state.proj_key.assign(4 * n, std::numeric_limits<double>::quiet_NaN());
     state.proj_x.assign(n * mx, 0.0);
     state.proj_y.assign(n * my, 0.0);
-    rebuilt = true;
   }
   for (std::size_t j = 0; j < n; ++j) {
     const HeatSource& s = sources[j];
-    PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
     double* key = state.proj_key.data() + 4 * j;
     if (key[0] == s.cx && key[1] == s.cy && key[2] == s.w && key[3] == s.l) continue;
     key[0] = s.cx;
     key[1] = s.cy;
     key[2] = s.w;
     key[3] = s.l;
-    rebuilt = true;
     // The shared projection core applies the steady path's clipping policy
     // and folds the c_m normalization plus the per-watt flux density into
     // the separable factors, so a step's projection is power * px_m * py_n.
     unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, state.proj_x.data() + j * mx,
                       state.proj_y.data() + j * my);
   }
-  return rebuilt;
 }
 
-int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
-                                          const std::vector<HeatSource>& sources) const {
-  PTHERM_REQUIRE(h > 0.0, "step_transient: h must be positive");
+void SpectralThermalSolver::require_transient_layout(const TransientSolution& state) const {
   const std::size_t modes = static_cast<std::size_t>(mode_count());
-  const std::size_t mz = static_cast<std::size_t>(opts_.modes_z);
+  PTHERM_REQUIRE(state.amps.size() == modes * static_cast<std::size_t>(opts_.modes_z) &&
+                     state.surface.coeff.size() == modes && state.flux.size() == modes,
+                 "step_transient: state belongs to a different spectral configuration");
+}
+
+bool SpectralThermalSolver::holds_transient_sources(
+    const TransientSolution& state, const std::vector<HeatSource>& sources) const {
+  const std::size_t n = sources.size();
+  if (state.power_key.size() != n || state.proj_key.size() != 4 * n) return false;
+  for (std::size_t j = 0; j < n; ++j) {
+    const HeatSource& s = sources[j];
+    const double* key = state.proj_key.data() + 4 * j;
+    if (key[0] != s.cx || key[1] != s.cy || key[2] != s.w || key[3] != s.l ||
+        state.power_key[j] != s.power) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SpectralThermalSolver::set_transient_sources(TransientSolution& state,
+                                                  const std::vector<HeatSource>& sources) const {
+  require_transient_layout(state);
+  // An epoch-driven driver holding its powers re-ingests the same sources:
+  // the flux modes are still valid and the pass is skipped whole.
+  if (holds_transient_sources(state, sources)) return false;
+  // Validate every source before touching the caches, so a rejected call
+  // leaves the held flux and its keys exactly as they were.
+  for (const HeatSource& s : sources) {
+    PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
+  }
   const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
-  PTHERM_REQUIRE(state.amps.size() == modes * mz && state.surface.coeff.size() == modes,
-                 "step_transient: state belongs to a different spectral configuration");
 
-  // (1) Project the step's powers onto the flux modes. Geometry is cached
-  // per source, so between co-simulation steps this is a scaled rank-1
-  // accumulate per source — no trigonometry — and when neither powers nor
-  // geometry moved since the last step (an epoch-driven driver holding its
-  // powers) the flux modes are still valid and the pass is skipped whole.
-  bool flux_dirty = refresh_projections(state, sources);
-  if (state.power_key.size() != sources.size()) {
-    state.power_key.assign(sources.size(), std::numeric_limits<double>::quiet_NaN());
-    flux_dirty = true;
-  }
-  if (!flux_dirty) {
-    for (std::size_t j = 0; j < sources.size(); ++j) {
-      if (state.power_key[j] != sources[j].power) {
-        flux_dirty = true;
-        break;
-      }
+  // Project the powers onto the flux modes. Geometry is cached per source,
+  // so between co-simulation steps this is a scaled rank-1 accumulate per
+  // source — no trigonometry.
+  refresh_projections(state, sources);
+  state.power_key.resize(sources.size());
+  std::fill(state.flux.begin(), state.flux.end(), 0.0);
+  for (std::size_t j = 0; j < sources.size(); ++j) {
+    const double power = sources[j].power;
+    state.power_key[j] = power;
+    if (power == 0.0) continue;
+    const double* px = state.proj_x.data() + j * mx;
+    const double* py = state.proj_y.data() + j * my;
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      const double fy = power * py[nn];
+      if (fy == 0.0) continue;
+      double* row = state.flux.data() + nn * mx;
+      for (std::size_t m = 0; m < mx; ++m) row[m] += fy * px[m];
     }
   }
-  if (flux_dirty) {
-    std::fill(state.flux.begin(), state.flux.end(), 0.0);
-    for (std::size_t j = 0; j < sources.size(); ++j) {
-      const double power = sources[j].power;
-      state.power_key[j] = power;
-      if (power == 0.0) continue;
-      const double* px = state.proj_x.data() + j * mx;
-      const double* py = state.proj_y.data() + j * my;
-      for (std::size_t nn = 0; nn < my; ++nn) {
-        const double fy = power * py[nn];
-        if (fy == 0.0) continue;
-        double* row = state.flux.data() + nn * mx;
-        for (std::size_t m = 0; m < mx; ++m) row[m] += fy * px[m];
-      }
-    }
-    ++power_updates_;
-  }
+  ++power_updates_;
+  return true;
+}
 
-  // (2 + 3, layered) The modal rates live on the per-(mode, p) grid — they
+void SpectralThermalSolver::advance_transient(TransientSolution& state, double h) const {
+  PTHERM_REQUIRE(h > 0.0, "step_transient: h must be positive");
+  require_transient_layout(state);
+  const std::size_t modes = static_cast<std::size_t>(mode_count());
+  const std::size_t mz = static_cast<std::size_t>(opts_.modes_z);
+  ++advances_;
+
+  // (1 + 2, layered) The modal rates live on the per-(mode, p) grid — they
   // do not separate into lateral x z factors — so the decay cache is the
   // full grid; the amplitude update and the quasi-static tail fold are the
   // same exact exponential machinery as the closed-form path below.
@@ -795,7 +821,7 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
     if (state.decay_h != h || state.decay.size() != modes * mz) {
       state.decay.resize(modes * mz);
       for (std::size_t i = 0; i < modes * mz; ++i) {
-        state.decay[i] = std::exp(-lambda_[i] * h);
+        state.decay[i] = decay_factor(lambda_[i], h);
       }
       state.decay_h = h;
     }
@@ -812,23 +838,23 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
       }
       state.surface.coeff[mode] = sum + tail_[mode] * q;
     }
-    return 1;
+    return;
   }
 
-  // (2) Decay factors keyed by h, in separable lateral x z form: the exact
+  // (1) Decay factors keyed by h, in separable lateral x z form: the exact
   // per-mode decay e^{-alpha (g^2 + gamma_p^2) h} is their product.
   const double alpha = die_.k_si / die_.cv_si;
   if (state.decay_h != h || state.decay_lat.size() != modes) {
     state.decay_lat.resize(modes);
     state.decay_z.resize(mz);
     for (std::size_t mode = 0; mode < modes; ++mode) {
-      state.decay_lat[mode] = std::exp(-alpha * g2_[mode] * h);
+      state.decay_lat[mode] = decay_factor(alpha * g2_[mode], h);
     }
-    for (std::size_t p = 0; p < mz; ++p) state.decay_z[p] = std::exp(-alpha * gamma2_[p] * h);
+    for (std::size_t p = 0; p < mz; ++p) state.decay_z[p] = decay_factor(alpha * gamma2_[p], h);
     state.decay_h = h;
   }
 
-  // (3) Advance every z-eigenmode amplitude exactly and synthesize the
+  // (2) Advance every z-eigenmode amplitude exactly and synthesize the
   // surface coefficients: the carried modes' sum plus the quasi-static tail.
   for (std::size_t mode = 0; mode < modes; ++mode) {
     const double dl = state.decay_lat[mode];
@@ -843,6 +869,13 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
     }
     state.surface.coeff[mode] = sum + tail_[mode] * q;
   }
+}
+
+int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
+                                          const std::vector<HeatSource>& sources) const {
+  PTHERM_REQUIRE(h > 0.0, "step_transient: h must be positive");
+  set_transient_sources(state, sources);
+  advance_transient(state, h);
   return 1;
 }
 

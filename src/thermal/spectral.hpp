@@ -187,7 +187,7 @@ class SpectralThermalSolver {
     std::vector<double> proj_y;    ///< modes_y per source
     std::vector<double> proj_key;  ///< cx, cy, w, l per cached source
     /// Last-ingested power per source: when neither powers nor geometry
-    /// moved since the previous step, the flux modes are still valid and
+    /// moved since the previous ingest, the flux modes are still valid and
     /// the whole projection pass is skipped — interior steps of a power-
     /// update epoch collapse to the pure mode-decay update.
     std::vector<double> power_key;
@@ -207,11 +207,34 @@ class SpectralThermalSolver {
   /// Zero-rise transient field (everything at the sink temperature).
   [[nodiscard]] TransientSolution make_transient() const;
 
-  /// Advances the field by `h` seconds under `sources` (held constant over
-  /// the step). The per-mode update is EXACT for piecewise-constant power —
-  /// accuracy does not depend on h, and one call with h == k*h' equals k
-  /// calls with h' to rounding. Returns 1: one mode-space update (the
-  /// generic "inner iteration" count transient drivers accumulate).
+  /// Makes `sources` the held drive of the next advance_transient calls.
+  /// Validates every source first (degenerate footprints throw
+  /// ptherm::PreconditionError before any cache is touched), re-projects the
+  /// per-source footprints whose geometry moved, and re-projects the flux
+  /// modes when any power or geometry changed. Returns whether the flux
+  /// changed (each change counts in transient_power_updates); an ingest of
+  /// the held sources is a no-op.
+  bool set_transient_sources(TransientSolution& state,
+                             const std::vector<HeatSource>& sources) const;
+
+  /// Whether the state's flux was projected from exactly these sources
+  /// (geometry and power, compared bitwise) — set_transient_sources would
+  /// then change nothing. Never throws.
+  [[nodiscard]] bool holds_transient_sources(const TransientSolution& state,
+                                             const std::vector<HeatSource>& sources) const;
+
+  /// Advances the field by `h` seconds under the held flux: one exact
+  /// per-mode exponential sweep over modes x modes_z amplitudes. The update
+  /// is EXACT for piecewise-constant power — accuracy does not depend on h,
+  /// and one call with h == k*h' equals k calls with h' to rounding — which
+  /// is what lets the backend defer held-power steps and advance once.
+  /// Each call counts in transient_advances.
+  void advance_transient(TransientSolution& state, double h) const;
+
+  /// set_transient_sources then advance_transient(h): one step of `h`
+  /// seconds under `sources` (held constant over the step). Returns 1: one
+  /// mode-space update (the generic "inner iteration" count transient
+  /// drivers accumulate).
   int step_transient(TransientSolution& state, double h,
                      const std::vector<HeatSource>& sources) const;
 
@@ -238,17 +261,22 @@ class SpectralThermalSolver {
   [[nodiscard]] int mode_count() const noexcept { return opts_.modes_x * opts_.modes_y; }
   /// 1-D FFT invocations performed by surface_map so far (cost counter).
   [[nodiscard]] long long fft_calls() const noexcept { return fft_calls_; }
-  /// Transient steps that had to re-project changed source powers into the
+  /// Source ingests that had to re-project changed source powers into the
   /// flux modes (cost counter): with an epoch-driven driver this counts
   /// epochs, not steps — the gap between the two is the cache's win.
   [[nodiscard]] long long transient_power_updates() const noexcept { return power_updates_; }
+  /// Exact mode-space sweeps performed by advance_transient so far (cost
+  /// counter): a deferring driver pays one per settle, not one per step.
+  [[nodiscard]] long long transient_advances() const noexcept { return advances_; }
   [[nodiscard]] const Die& die() const noexcept { return die_; }
 
  private:
-  /// Rebuilds the per-source projection cache entries whose geometry moved;
-  /// returns whether any entry was rebuilt.
-  bool refresh_projections(TransientSolution& state,
+  /// Rebuilds the per-source projection cache entries whose geometry moved.
+  void refresh_projections(TransientSolution& state,
                            const std::vector<HeatSource>& sources) const;
+
+  /// Throws unless `state` was made by a solver of this mode configuration.
+  void require_transient_layout(const TransientSolution& state) const;
 
   /// The single-die closed-form setup (transfer, cos(gamma_p z) eigenbasis,
   /// gains, tail) — the legacy constructor body, shared by trivial stacks.
@@ -293,6 +321,7 @@ class SpectralThermalSolver {
 
   mutable long long fft_calls_ = 0;
   mutable long long power_updates_ = 0;
+  mutable long long advances_ = 0;
 };
 
 }  // namespace ptherm::thermal
