@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
 #include "core/influence.hpp"
-#include "core/rc_network.hpp"
 #include "core/transient.hpp"
 #include "floorplan/generators.hpp"
 #include "telemetry_env.hpp"  // PTHERM_TELEMETRY=1 installs a span tracer
@@ -241,21 +240,5 @@ void BM_TransientCosimSpectral(benchmark::State& state) {
   transient_counters(state, last);
 }
 BENCHMARK(BM_TransientCosimSpectral)->Arg(6)->Unit(benchmark::kMillisecond);
-
-void BM_RcNetworkTransient(benchmark::State& state) {
-  // The compact-RC transient (extension): a 20 ms electro-thermal transient
-  // of a 16-block die in closed form + ODE integration — contrast with
-  // BM_CosimFdm, which needs a full FDM solve per influence column alone.
-  const auto fp = plan(4, 4, 4.0);
-  core::RcNetworkOptions opts;
-  opts.t_stop = 20e-3;
-  opts.dt = 1e-4;
-  const core::RcThermalNetwork net(device::Technology::cmos012(), fp, opts);
-  const core::ActivityProfile profile = [](std::size_t, double) { return 1.0; };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.solve(profile));
-  }
-}
-BENCHMARK(BM_RcNetworkTransient)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/cosim.hpp"
-#include "core/rc_network.hpp"
 #include "core/transient.hpp"
 #include "device/mosfet.hpp"
 #include "device/tech.hpp"

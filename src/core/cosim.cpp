@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/picard.hpp"
 #include "device/variation.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -44,12 +46,8 @@ double boundary_fold_resistance(const CosimOptions& opts) {
 }
 
 void validate(const CosimOptions& opts) {
-  PTHERM_REQUIRE(opts.damping > 0.0 && opts.damping <= 1.0,
-                 "CosimOptions: damping must be in (0, 1]");
-  PTHERM_REQUIRE(opts.tol > 0.0, "CosimOptions: tol must be > 0");
-  PTHERM_REQUIRE(opts.max_iterations > 0, "CosimOptions: max_iterations must be > 0");
-  PTHERM_REQUIRE(opts.runaway_rise_limit > 0.0,
-                 "CosimOptions: runaway_rise_limit must be > 0");
+  validate_picard("CosimOptions", opts.damping, opts.tol, opts.max_iterations,
+                  opts.runaway_rise_limit);
   PTHERM_REQUIRE(opts.r_package >= 0.0, "CosimOptions: r_package must be >= 0");
 }
 
@@ -80,22 +78,15 @@ void ElectroThermalSolver::build_influence() {
   // Picard loop only needs R *applied*, so matrix-free-capable backends
   // (spectral) serve the seam directly; dense construction is batched per
   // column by the backend (thermal/backend.hpp).
-  const auto samples = block_centre_samples(fp_);
-  const std::vector<thermal::HeatSource> sources = fp_.heat_sources(tech_);
   const bool want_matrix_free =
       opts_.influence == InfluenceMode::MatrixFree ||
       (opts_.influence == InfluenceMode::Auto && backend_->supports_matrix_free_influence());
   if (want_matrix_free) {
     // Forced MatrixFree on a dense-only backend throws here, naming it.
-    matrix_free_ = backend_->make_influence_apply(sources, samples);
+    matrix_free_ = backend_->make_influence_apply(fp_.heat_sources(tech_),
+                                                  block_centre_samples(fp_));
   } else {
-    influence_.emplace(backend_->build_influence(sources, samples));
-    // The boundary resistance (r_package + stack RC network) couples every
-    // pair uniformly: each watt anywhere raises the whole die by it.
-    // Matrix-free mode has no matrix to shift — solve() folds the same term
-    // in analytically, through the same helper.
-    const double r_fold = boundary_fold_resistance(opts_);
-    if (r_fold > 0.0) influence_->add_uniform(r_fold);
+    (void)influence_matrix();
   }
   influence_stats_ = influence_stats_from(backend_->cost_stats());
 }
@@ -107,8 +98,11 @@ const thermal::InfluenceApply& ElectroThermalSolver::influence_apply() const noe
 
 const InfluenceOperator& ElectroThermalSolver::influence_matrix() const {
   if (!influence_) {
-    // Lazy dense realization for diagnostics/ablation consumers: same
-    // backend build (and boundary-fold shift) the dense mode would have done.
+    // Built eagerly in Dense mode, lazily for diagnostics consumers in
+    // matrix-free mode. The boundary resistance (r_package + stack RC
+    // network) couples every pair uniformly: each watt anywhere raises the
+    // whole die by it. Matrix-free mode has no matrix to shift — the Picard
+    // kernel folds the same term in, through the same helper.
     InfluenceOperator dense(
         backend_->build_influence(fp_.heat_sources(tech_), block_centre_samples(fp_)));
     const double r_fold = boundary_fold_resistance(opts_);
@@ -130,96 +124,151 @@ void ElectroThermalSolver::set_leakage_adjust(std::vector<LeakageAdjust> adjust)
   adjust_ = std::move(adjust);
 }
 
+PicardShared ElectroThermalSolver::picard_shared() const noexcept {
+  // In matrix-free mode the uniform boundary term fold * sum(P) cannot live
+  // inside the operator (there is no matrix to add_uniform); the kernel
+  // folds it in per iteration. Dense mode carries it in the matrix — both
+  // through boundary_fold_resistance, so the modes cannot diverge.
+  const double fold = matrix_free_ ? boundary_fold_resistance(opts_) : 0.0;
+  return {influence_apply(), fold, compiled_leakage_, fp_.blocks(), fp_.die().t_sink, opts_};
+}
+
 CosimResult ElectroThermalSolver::solve() {
   TELEMETRY_SPAN("cosim/solve");
   const auto& blocks = fp_.blocks();
   const std::size_t n = blocks.size();
-  const double t_sink = fp_.die().t_sink;
-
-  CosimResult result;
-  result.blocks.resize(n);
-
-  std::vector<double> temps(n, t_sink);
-  std::vector<double> powers(n, 0.0);
-  std::vector<double> rises(n, 0.0);
-  double prev_delta = 0.0;
-  int growth_streak = 0;
-
-  const thermal::InfluenceApply& influence = influence_apply();
-  // In matrix-free mode the uniform boundary term fold * sum(P) cannot live
-  // inside the operator (there is no matrix to add_uniform); fold it in
-  // analytically per iteration. Dense mode carries it in the matrix — both
-  // through boundary_fold_resistance, so the modes cannot diverge.
-  const double r_pkg = matrix_free_ ? boundary_fold_resistance(opts_) : 0.0;
-
-  for (int it = 0; it < opts_.max_iterations; ++it) {
-    result.iterations = it + 1;
-    for (std::size_t j = 0; j < n; ++j) {
-      powers[j] = blocks[j].p_dynamic + block_leakage_power(j, temps[j]);
-    }
-    influence.apply(powers, rises);
-    if (r_pkg > 0.0) {
-      double p_total = 0.0;
-      for (std::size_t j = 0; j < n; ++j) p_total += powers[j];
-      const double pkg_rise = r_pkg * p_total;
-      for (std::size_t i = 0; i < n; ++i) rises[i] += pkg_rise;
-    }
-    double max_delta = 0.0;
-    double max_rise = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double target = t_sink + rises[i];
-      const double updated = temps[i] + opts_.damping * (target - temps[i]);
-      max_delta = std::max(max_delta, std::abs(updated - temps[i]));
-      temps[i] = updated;
-      max_rise = std::max(max_rise, temps[i] - t_sink);
-    }
-    result.max_delta_last = max_delta;
-    if (opts_.trace.convergence) result.picard_residuals.push_back(max_delta);
-
-    if (max_rise > opts_.runaway_rise_limit) {
-      result.runaway = true;
-      break;
-    }
-    // A monotonically growing update over several iterations is the fixed
-    // point diverging: leakage-thermal runaway below the hard rise limit.
-    if (max_delta > prev_delta && it > 0) {
-      if (++growth_streak >= 10) {
-        result.runaway = true;
-        break;
-      }
-    } else {
-      growth_streak = 0;
-    }
-    prev_delta = max_delta;
-
-    if (max_delta < opts_.tol) {
-      result.converged = true;
-      break;
-    }
-  }
-
+  // This floorplan as a chunk of one scenario.
+  std::vector<double> p_dynamic(n);
+  std::vector<double> adj_scale(n, 1.0);
+  std::vector<double> adj_dvt0(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    result.blocks[i].temperature = temps[i];
-    result.blocks[i].p_dynamic = blocks[i].p_dynamic;
-    result.blocks[i].p_leakage = block_leakage_power(i, temps[i]);
-    result.total_dynamic += result.blocks[i].p_dynamic;
-    result.total_leakage += result.blocks[i].p_leakage;
-    result.max_temperature = std::max(result.max_temperature, temps[i]);
-  }
-  if (!result.converged) {
-    std::size_t hottest = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (temps[i] > temps[hottest]) hottest = i;
+    p_dynamic[i] = blocks[i].p_dynamic;
+    if (!adjust_.empty()) {
+      adj_scale[i] = adjust_[i].scale;
+      adj_dvt0[i] = adjust_[i].delta_vt0;
     }
-    SolveDiagnostics diag;
-    diag.solver = "ElectroThermalSolver";
-    diag.stage = result.runaway ? "runaway" : "max-iterations";
-    diag.iterations = result.iterations;
-    diag.residual = result.max_delta_last;
-    diag.worst = blocks[hottest].name;
-    result.diagnostics = std::move(diag);
   }
+  const device::Technology* tech = &tech_;
+  std::vector<double> exit_leakage(n);
+  const ScenarioChunk chunk{p_dynamic, adj_scale, adj_dvt0, {&tech, 1}, exit_leakage};
+  CosimResult result;
+  ScenarioResult& scenario = result;
+  solve_picard_chunk(picard_shared(), chunk, {&scenario, 1});
+  result.blocks.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.blocks[i] = {result.temperatures[i], p_dynamic[i], exit_leakage[i]};
+  }
+  if (result.diagnostics) result.diagnostics->solver = "ElectroThermalSolver";
   return result;
+}
+
+long long solve_picard_chunk(const PicardShared& shared, const ScenarioChunk& chunk,
+                             std::span<ScenarioResult> results, ScenarioBatchTrace* trace) {
+  const std::size_t n = shared.leakage.size();
+  const std::size_t count = results.size();
+  const std::size_t cells = count * n;
+  PTHERM_REQUIRE(count >= 1 && chunk.tech.size() == count && chunk.p_dynamic.size() == cells &&
+                     chunk.adj_scale.size() == cells && chunk.adj_dvt0.size() == cells &&
+                     (chunk.exit_leakage.empty() || chunk.exit_leakage.size() == cells),
+                 "solve_picard_chunk: chunk views must hold one row per result");
+  const CosimOptions& opts = shared.opts;
+  const double t_sink = shared.t_sink;
+
+  std::vector<double> temps(cells, t_sink);
+  std::vector<PicardVerdict> verdicts(count, PicardVerdict(opts.tol, opts.runaway_rise_limit));
+  std::vector<std::size_t> active(count);  // scenario indices, ascending
+  std::iota(active.begin(), active.end(), std::size_t{0});
+  std::vector<double> powers(cells);
+  std::vector<double> rises(cells);
+
+  // Power of scenario s at temperature `temp` of block j.
+  const auto block_power = [&](std::size_t s, std::size_t j, double temp) {
+    const LeakageAdjust adj{chunk.adj_scale[s * n + j], chunk.adj_dvt0[s * n + j]};
+    return adjusted_leakage_power(*chunk.tech[s], shared.leakage[j], temp, opts.vb, adj);
+  };
+  const auto finalize = [&](std::size_t s) {
+    ScenarioResult& res = results[s];
+    const double* temp = temps.data() + s * n;
+    res.temperatures.assign(temp, temp + n);
+    std::size_t hottest = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double p_leak = block_power(s, i, temp[i]);
+      if (!chunk.exit_leakage.empty()) chunk.exit_leakage[s * n + i] = p_leak;
+      res.total_dynamic += chunk.p_dynamic[s * n + i];
+      res.total_leakage += p_leak;
+      res.max_temperature = std::max(res.max_temperature, temp[i]);
+      if (temp[i] > temp[hottest]) hottest = i;
+    }
+    if (!res.converged) {
+      SolveDiagnostics diag;
+      diag.stage = res.runaway ? "runaway" : "max-iterations";
+      diag.iterations = res.iterations;
+      diag.residual = res.max_delta_last;
+      diag.worst = shared.blocks[hottest].name;
+      res.diagnostics = std::move(diag);
+    }
+  };
+
+  long long sweeps = 0;
+  for (int it = 0; it < opts.max_iterations && !active.empty(); ++it) {
+    const std::size_t m = active.size();
+    for (std::size_t a = 0; a < m; ++a) {
+      const std::size_t s = active[a];
+      const double* temp = temps.data() + s * n;
+      double* p = powers.data() + a * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        p[j] = chunk.p_dynamic[s * n + j] + block_power(s, j, temp[j]);
+      }
+    }
+    shared.influence.apply_batch({powers.data(), m * n}, {rises.data(), m * n}, m);
+    ++sweeps;
+    double sweep_max_delta = 0.0;
+
+    std::size_t keep = 0;
+    for (std::size_t a = 0; a < m; ++a) {
+      const std::size_t s = active[a];
+      ScenarioResult& res = results[s];
+      res.iterations = it + 1;
+      double* temp = temps.data() + s * n;
+      const double* p = powers.data() + a * n;
+      double* rise = rises.data() + a * n;
+      if (shared.boundary_fold > 0.0) {
+        double p_total = 0.0;
+        for (std::size_t j = 0; j < n; ++j) p_total += p[j];
+        const double pkg_rise = shared.boundary_fold * p_total;
+        for (std::size_t i = 0; i < n; ++i) rise[i] += pkg_rise;
+      }
+      double max_delta = 0.0;
+      double max_rise = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double target = t_sink + rise[i];
+        const double updated = temp[i] + opts.damping * (target - temp[i]);
+        max_delta = std::max(max_delta, std::abs(updated - temp[i]));
+        temp[i] = updated;
+        max_rise = std::max(max_rise, temp[i] - t_sink);
+      }
+      res.max_delta_last = max_delta;
+      if (opts.trace.convergence) res.picard_residuals.push_back(max_delta);
+      sweep_max_delta = std::max(sweep_max_delta, max_delta);
+
+      const PicardVerdict::State state = verdicts[s].observe(max_delta, max_rise);
+      res.converged = state == PicardVerdict::State::Converged;
+      res.runaway = state == PicardVerdict::State::Runaway;
+      if (state == PicardVerdict::State::Running) {
+        active[keep++] = s;  // compaction keeps ascending order
+      } else {
+        finalize(s);
+      }
+    }
+    if (opts.trace.convergence && trace != nullptr) {
+      trace->active_per_sweep.push_back(static_cast<long long>(m));
+      trace->max_residual_per_sweep.push_back(sweep_max_delta);
+    }
+    active.resize(keep);
+  }
+  // Survivors of max_iterations: neither converged nor run away.
+  for (const std::size_t s : active) finalize(s);
+  return sweeps;
 }
 
 }  // namespace ptherm::core

@@ -10,10 +10,17 @@
 // per column), and P_j(T) = P_dyn_j + VDD * I_off_j(T) from the compact
 // leakage model. Divergence (leakage-thermal runaway) is detected and
 // reported rather than hidden.
+//
+// The fixed point is implemented once, by solve_picard_chunk below, over a
+// chunk of m >= 1 scenarios sharing one geometry precompute. A single
+// ElectroThermalSolver::solve is the chunk of one; ScenarioBatch
+// (core/scenario_batch.hpp) feeds it chunks of many.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -73,7 +80,7 @@ struct CosimOptions {
 /// The ONE uniform boundary resistance [K/W] a steady cosim folds on top of
 /// the conduction operator: r_package plus the stack boundary's RC-network
 /// resistance (if any). Dense influence builds add it to every matrix entry
-/// (InfluenceOperator::add_uniform); the matrix-free path folds
+/// (DenseInfluenceApply::add_uniform); the matrix-free path folds
 /// fold * sum(P) into the rises per Picard iteration. Both routes go through
 /// this helper, so the two influence modes cannot drift apart — the
 /// equivalence is pinned by tests.
@@ -87,8 +94,7 @@ struct CosimOptions {
     const thermal::Die& die, const CosimOptions& opts);
 
 /// Throws ptherm::PreconditionError if the Picard-iteration settings are
-/// unusable (damping outside (0, 1], tol <= 0, max_iterations <= 0,
-/// runaway_rise_limit <= 0, or r_package < 0).
+/// unusable (the validate_picard rule of common/picard.hpp, or r_package < 0).
 void validate(const CosimOptions& opts);
 
 /// Per-block leakage adjustment a scenario applies on top of the compiled
@@ -103,9 +109,7 @@ struct LeakageAdjust {
 };
 
 /// Adjusted block leakage power [W]: scale * exp(-dVT0/(n VT)) * base(T).
-/// The ONE expression both the standalone solver (set_leakage_adjust) and
-/// the batched scenario engine evaluate, so the two paths cannot drift —
-/// batched-vs-sequential bitwise equivalence is pinned by tests.
+/// The ONE expression the Picard kernel and block_leakage_power evaluate.
 [[nodiscard]] double adjusted_leakage_power(const device::Technology& tech,
                                             const floorplan::CompiledBlockLeakage& leakage,
                                             double temp, double vb,
@@ -118,27 +122,85 @@ struct BlockState {
   [[nodiscard]] double p_total() const noexcept { return p_dynamic + p_leakage; }
 };
 
-struct CosimResult {
+/// One scenario's exit state from the Picard kernel.
+struct ScenarioResult {
   bool converged = false;
   bool runaway = false;
   int iterations = 0;
-  std::vector<BlockState> blocks;
-  double total_dynamic = 0.0;
-  double total_leakage = 0.0;
-  double max_temperature = 0.0;   ///< hottest block [K]
-  double max_delta_last = 0.0;    ///< last iteration's max |dT| [K]
+  double max_temperature = 0.0;  ///< hottest block [K]
+  double total_dynamic = 0.0;    ///< [W]
+  double total_leakage = 0.0;    ///< [W] at the exit temperatures
+  double max_delta_last = 0.0;   ///< last iteration's max |dT| [K]
+  std::vector<double> temperatures;  ///< per-block [K]
   /// Structured non-convergence context (common/diagnostics.hpp): set iff
-  /// the Picard loop did not converge — stage "runaway" or "max-iterations",
-  /// the iteration count, the last max |dT| [K], and the hottest block by
-  /// name. Empty on converged solves.
+  /// the solve did not converge — the solver ("ElectroThermalSolver" or
+  /// "ScenarioBatch"), the stage ("runaway" or "max-iterations"; the batch
+  /// prefixes "scenario k: "), the iteration count, the last max |dT| [K],
+  /// and the hottest block by name.
   std::optional<SolveDiagnostics> diagnostics;
   /// With CosimOptions::trace.convergence: the Picard residual max |dT| [K]
-  /// after each iteration (picard_residuals.size() == iterations;
-  /// back() == max_delta_last). Empty when tracing is off.
+  /// after each iteration (size() == iterations, back() == max_delta_last).
+  /// Empty when tracing is off.
   std::vector<double> picard_residuals;
 
   [[nodiscard]] double total_power() const noexcept { return total_dynamic + total_leakage; }
 };
+
+/// A standalone solve's result: the kernel's chunk of one, plus the
+/// per-block power breakdown.
+struct CosimResult : ScenarioResult {
+  std::vector<BlockState> blocks;
+};
+
+/// Sweep-level convergence trace (CosimOptions::trace.convergence; separate
+/// from ScenarioBatchStats so the counter bag stays registry-shaped). One
+/// entry per blocked Picard sweep across all solve_all chunks, in execution
+/// order: how many scenarios were still active going into the sweep, and the
+/// worst Picard residual any of them produced in it.
+struct ScenarioBatchTrace {
+  std::vector<long long> active_per_sweep;     ///< active-mask size per sweep
+  std::vector<double> max_residual_per_sweep;  ///< worst max |dT| per sweep [K]
+};
+
+/// What every scenario of a Picard chunk shares, borrowed from the
+/// ElectroThermalSolver that built it (picard_shared()).
+struct PicardShared {
+  const thermal::InfluenceApply& influence;
+  /// [K/W] folded in as fold * sum(P) per iteration in matrix-free mode; 0
+  /// when the dense matrix already carries it.
+  double boundary_fold;
+  std::span<const floorplan::CompiledBlockLeakage> leakage;  ///< one per block
+  std::span<const floorplan::Block> blocks;  ///< names for the diagnostics
+  double t_sink;                             ///< [K]
+  const CosimOptions& opts;
+};
+
+/// Per-scenario inputs of a chunk of m scenarios over n blocks, SoA and
+/// scenario-major (row s of each m x n view is scenario s).
+struct ScenarioChunk {
+  std::span<const double> p_dynamic;  ///< m x n dynamic power [W]
+  std::span<const double> adj_scale;  ///< m x n LeakageAdjust::scale
+  std::span<const double> adj_dvt0;   ///< m x n LeakageAdjust::delta_vt0 [V]
+  std::span<const device::Technology* const> tech;  ///< m leakage technologies
+  /// Optional m x n output: block leakage [W] at the exit temperatures.
+  std::span<double> exit_leakage = {};
+};
+
+/// THE damped Picard fixed point, for all m >= 1 scenarios of `chunk` at
+/// once. Each sweep evaluates every active scenario's power (dynamic +
+/// adjusted leakage), issues ONE multi-RHS influence apply, folds the
+/// boundary term, takes the damped update and asks the scenario's
+/// PicardVerdict (common/picard.hpp) whether it is done; finished scenarios
+/// leave the active set at once. The blocking only reorders work across
+/// scenarios, never within one, so a trajectory does not depend on m or on
+/// its neighbours. results[s], default-constructed on entry, receives
+/// scenario s (diagnostics without the solver name, which the caller sets).
+/// With opts.trace.convergence the residuals are recorded, and one entry per
+/// sweep goes to a non-null `trace`. Returns the number of sweeps
+/// (multi-RHS applies) issued.
+long long solve_picard_chunk(const PicardShared& shared, const ScenarioChunk& chunk,
+                             std::span<ScenarioResult> results,
+                             ScenarioBatchTrace* trace = nullptr);
 
 /// Runs the concurrent electro-thermal fixed point on a floorplan.
 /// Technology and floorplan are copied in: the solver owns everything it
@@ -157,16 +219,19 @@ class ElectroThermalSolver {
   [[nodiscard]] double block_leakage_power(std::size_t i, double temp) const;
 
   /// Installs per-block leakage adjustments (one per block; empty clears).
-  /// This is how a single solver reproduces one scenario of a ScenarioBatch
-  /// exactly — the sequential reference path of the batched engine's tests.
+  /// This is how a single solver reproduces one scenario of a ScenarioBatch.
   void set_leakage_adjust(std::vector<LeakageAdjust> adjust);
 
   /// The influence-apply seam the Picard loop iterates through: dense in
   /// Dense mode (and on dense-only backends), the backend's matrix-free
   /// operator otherwise. In matrix-free mode the boundary fold (r_package +
-  /// stack RC resistance) is NOT inside the operator — solve() folds it in
-  /// analytically as boundary_fold_resistance(opts) * sum(P).
+  /// stack RC resistance) is NOT inside the operator — the Picard kernel
+  /// folds it in as boundary_fold_resistance(opts) * sum(P).
   [[nodiscard]] const thermal::InfluenceApply& influence_apply() const noexcept;
+
+  /// The shared inputs solve_picard_chunk needs, borrowed from this solver:
+  /// how ScenarioBatch runs its chunks against this precompute.
+  [[nodiscard]] PicardShared picard_shared() const noexcept;
 
   /// Whether solve() runs matrix-free (no dense matrix was built).
   [[nodiscard]] bool matrix_free() const noexcept { return matrix_free_ != nullptr; }
@@ -174,7 +239,7 @@ class ElectroThermalSolver {
   /// Thermal influence operator R[i][j] = rise at block i's centre per watt
   /// in block j [K/W] including r_package, as realised by the configured
   /// backend. Exposed because the runaway criterion (spectral condition
-  /// R * dP/dT < 1) is an ablation bench and the RC network factorizes it.
+  /// R * dP/dT < 1) is an ablation bench.
   /// In matrix-free mode the dense matrix is realised lazily on first call —
   /// an O(n^2) diagnostic escape hatch the solve itself never pays.
   [[nodiscard]] const InfluenceOperator& influence_matrix() const;

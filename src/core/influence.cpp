@@ -17,44 +17,6 @@ InfluenceBuildStats influence_stats_from(const thermal::BackendCostStats& cost) 
   return telemetry::influence_build_from(reg);
 }
 
-InfluenceOperator::InfluenceOperator(numerics::Matrix r) : r_(std::move(r)) {
-  PTHERM_REQUIRE(r_.rows() == r_.cols(), "InfluenceOperator: matrix must be square");
-}
-
-double InfluenceOperator::at(std::size_t i, std::size_t j) const {
-  PTHERM_REQUIRE(i < size() && j < size(), "InfluenceOperator: index out of range");
-  return r_(i, j);
-}
-
-void InfluenceOperator::add_uniform(double resistance) {
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) r_(i, j) += resistance;
-  }
-}
-
-void InfluenceOperator::apply(std::span<const double> powers, std::span<double> rises) const {
-  // The documented contract, enforced: a silent mismatch would be an
-  // out-of-bounds matvec.
-  PTHERM_REQUIRE(powers.size() == size() && rises.size() == size(),
-                 "InfluenceOperator::apply: powers/rises must have size() elements");
-  r_.multiply(powers, rises);
-}
-
-std::vector<double> InfluenceOperator::apply(std::span<const double> powers) const {
-  PTHERM_REQUIRE(powers.size() == size(),
-                 "InfluenceOperator::apply: powers must have size() elements");
-  return r_.multiply(powers);
-}
-
-void InfluenceOperator::apply_batch(std::span<const double> powers, std::span<double> rises,
-                                    std::size_t count) const {
-  PTHERM_REQUIRE(powers.size() == count * size() && rises.size() == count * size(),
-                 "InfluenceOperator::apply_batch: powers/rises must have count * size() "
-                 "elements");
-  r_.multiply_batch(powers, rises, count);
-}
-
 std::vector<InfluenceSample> block_centre_samples(const floorplan::Floorplan& fp) {
   std::vector<InfluenceSample> samples;
   samples.reserve(fp.blocks().size());

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
-#include "numerics/dense.hpp"
 #include "thermal/backend.hpp"
 
 namespace ptherm::core {
@@ -47,41 +46,9 @@ struct InfluenceBuildStats {
 /// cannot silently go missing from `influence_build_stats()`.
 [[nodiscard]] InfluenceBuildStats influence_stats_from(const thermal::BackendCostStats& cost);
 
-/// Square dense influence operator over flat row-major storage: the dense
-/// realization of the thermal::InfluenceApply seam (the matrix-free spectral
-/// realization lives behind SolverBackend::make_influence_apply).
-class InfluenceOperator final : public thermal::InfluenceApply {
- public:
-  InfluenceOperator() = default;
-  explicit InfluenceOperator(numerics::Matrix r);
-
-  [[nodiscard]] std::size_t size() const noexcept override { return r_.rows(); }
-
-  /// R[i][j], bounds-checked.
-  [[nodiscard]] double at(std::size_t i, std::size_t j) const;
-
-  /// Adds `resistance` [K/W] to every entry — a lumped package/heat-sink
-  /// path couples every pair of blocks uniformly.
-  void add_uniform(double resistance);
-
-  /// rises = R * powers; both spans must have size() elements (throws
-  /// ptherm::PreconditionError otherwise); allocation-free.
-  void apply(std::span<const double> powers, std::span<double> rises) const override;
-  [[nodiscard]] std::vector<double> apply(std::span<const double> powers) const;
-
-  /// Multi-RHS apply over `count` scenario-major vectors: one
-  /// Matrix::multiply_batch, streaming R once per row for the whole block.
-  /// Per-vector results match apply() bitwise (see multiply_batch).
-  void apply_batch(std::span<const double> powers, std::span<double> rises,
-                   std::size_t count) const override;
-
-  [[nodiscard]] std::string_view kind() const noexcept override { return "dense"; }
-
-  [[nodiscard]] const numerics::Matrix& matrix() const noexcept { return r_; }
-
- private:
-  numerics::Matrix r_;
-};
+/// The dense influence operator (thermal/backend.hpp) under its core-layer
+/// name, which the builders below return.
+using InfluenceOperator = thermal::DenseInfluenceApply;
 
 /// Block centres of a floorplan — the sample points the co-simulation uses.
 [[nodiscard]] std::vector<InfluenceSample> block_centre_samples(const floorplan::Floorplan& fp);

@@ -1,8 +1,7 @@
 #include "core/scenario_batch.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,15 +28,10 @@ ScenarioBatch::ScenarioBatch(device::Technology tech, floorplan::Floorplan fp,
                              CosimOptions opts, ScenarioBatchOptions batch)
     // The solver copies its arguments, leaving `tech` and `fp` intact for the
     // nominal-state capture below.
-    : opts_(opts), batch_(batch), solver_(tech, fp, opts) {
+    : batch_(batch), solver_(tech, fp, opts) {
   core::validate(batch_);
-  t_sink_ = fp.die().t_sink;
   nominal_powers_.reserve(fp.blocks().size());
-  block_names_.reserve(fp.blocks().size());
-  for (const auto& block : fp.blocks()) {
-    nominal_powers_.push_back(block.p_dynamic);
-    block_names_.push_back(block.name);
-  }
+  for (const auto& block : fp.blocks()) nominal_powers_.push_back(block.p_dynamic);
   Level nominal;
   nominal.voltage = tech.vdd;
   nominal.tech = std::move(tech);
@@ -157,163 +151,41 @@ int ScenarioBatch::scenario_level(std::size_t k) const {
 
 std::vector<ScenarioResult> ScenarioBatch::solve_all() {
   TELEMETRY_SPAN("batch/solve_all");
+  const std::size_t n = block_count();
   std::vector<ScenarioResult> results(size());
+  // Each chunk goes through the shared Picard kernel, then the batch
+  // bookkeeping: diagnostics name the scenario, and the counters record the
+  // sweeps issued and the scenario-iterations the masks saved.
   for_each_chunk(size(), batch_.chunk, [&](std::size_t begin, std::size_t end) {
-    run_chunk(begin, end, results);
+    TELEMETRY_SPAN("batch/chunk");
+    const std::size_t count = end - begin;
+    std::vector<const device::Technology*> techs(count);
+    for (std::size_t s = 0; s < count; ++s) {
+      techs[s] = &levels_[static_cast<std::size_t>(level_index_[begin + s])].tech;
+    }
+    const auto rows = [&](const std::vector<double>& v) {
+      return std::span<const double>(v).subspan(begin * n, count * n);
+    };
+    const ScenarioChunk chunk{rows(powers_), rows(adj_scale_), rows(adj_dvt0_), techs};
+    const std::span<ScenarioResult> out(results.data() + begin, count);
+    const long long sweeps = solve_picard_chunk(solver_.picard_shared(), chunk, out, &trace_);
+
+    long long iterations_sum = 0;
+    for (std::size_t s = 0; s < count; ++s) {
+      iterations_sum += out[s].iterations;
+      if (auto& diag = out[s].diagnostics) {
+        diag->solver = "ScenarioBatch";
+        diag->stage = "scenario " + std::to_string(begin + s) + ": " + diag->stage;
+      }
+    }
+    stats_.scenarios += static_cast<long long>(count);
+    stats_.batched_matvecs += sweeps;
+    stats_.picard_iterations_total += iterations_sum;
+    // Scenario-iterations the masks avoided: without masking every scenario
+    // would ride all `sweeps` blocked applies.
+    stats_.masked_iterations_saved += static_cast<long long>(count) * sweeps - iterations_sum;
   });
   return results;
-}
-
-// One chunk of scenarios through the blocked Picard sweep. Per iteration:
-// pack the active scenarios' power vectors (dynamic + adjusted leakage at the
-// current temperatures), issue ONE multi-RHS influence apply over all of
-// them, then run each active scenario's fold / damped update / runaway /
-// convergence logic — exactly the statements ElectroThermalSolver::solve
-// executes, in the same order on the same values, so each scenario's
-// trajectory is bitwise the standalone one. Finished scenarios leave the
-// active list (ascending order preserved: a scenario's packed slot index
-// never affects its arithmetic, only its memory placement).
-void ScenarioBatch::run_chunk(std::size_t begin, std::size_t end,
-                              std::vector<ScenarioResult>& results) {
-  TELEMETRY_SPAN("batch/chunk");
-  const std::size_t n = block_count();
-  const std::size_t count = end - begin;
-  const auto& compiled = solver_.compiled_leakage();
-  const thermal::InfluenceApply& influence = solver_.influence_apply();
-  // Same split as the standalone solve: dense mode carries the boundary fold
-  // inside the matrix; matrix-free folds r * sum(P) per iteration.
-  const double r_pkg = solver_.matrix_free() ? boundary_fold_resistance(opts_) : 0.0;
-
-  std::vector<double> temps(count * n, t_sink_);
-  std::vector<double> prev_delta(count, 0.0);
-  std::vector<int> growth_streak(count, 0);
-  std::vector<std::size_t> active(count);  // chunk-local indices, ascending
-  std::iota(active.begin(), active.end(), std::size_t{0});
-
-  std::vector<double> powers(count * n);
-  std::vector<double> rises(count * n);
-
-  long long sweeps = 0;
-  const auto finalize = [&](std::size_t local) {
-    const std::size_t k = begin + local;
-    ScenarioResult& res = results[k];
-    const double* temp = temps.data() + local * n;
-    const double* p_dyn = powers_.data() + k * n;
-    const device::Technology& tech = levels_[static_cast<std::size_t>(level_index_[k])].tech;
-    res.temperatures.assign(temp, temp + n);
-    std::size_t hottest = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const LeakageAdjust adj{adj_scale_[k * n + i], adj_dvt0_[k * n + i]};
-      res.total_dynamic += p_dyn[i];
-      res.total_leakage += adjusted_leakage_power(tech, compiled[i], temp[i], opts_.vb, adj);
-      res.max_temperature = std::max(res.max_temperature, temp[i]);
-      if (temp[i] > temp[hottest]) hottest = i;
-    }
-    if (!res.converged) {
-      SolveDiagnostics diag;
-      diag.solver = "ScenarioBatch";
-      diag.stage = "scenario " + std::to_string(k) +
-                   (res.runaway ? ": runaway" : ": max-iterations");
-      diag.iterations = res.iterations;
-      diag.residual = res.max_delta_last;
-      diag.worst = block_names_[hottest];
-      res.diagnostics = std::move(diag);
-    }
-  };
-
-  for (int it = 0; it < opts_.max_iterations && !active.empty(); ++it) {
-    const std::size_t m = active.size();
-    for (std::size_t a = 0; a < m; ++a) {
-      const std::size_t local = active[a];
-      const std::size_t k = begin + local;
-      const double* temp = temps.data() + local * n;
-      const double* p_dyn = powers_.data() + k * n;
-      const device::Technology& tech =
-          levels_[static_cast<std::size_t>(level_index_[k])].tech;
-      double* p = powers.data() + a * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        const LeakageAdjust adj{adj_scale_[k * n + j], adj_dvt0_[k * n + j]};
-        p[j] = p_dyn[j] + adjusted_leakage_power(tech, compiled[j], temp[j], opts_.vb, adj);
-      }
-    }
-    influence.apply_batch({powers.data(), m * n}, {rises.data(), m * n}, m);
-    ++sweeps;
-    double sweep_max_delta = 0.0;
-
-    std::size_t keep = 0;
-    for (std::size_t a = 0; a < m; ++a) {
-      const std::size_t local = active[a];
-      const std::size_t k = begin + local;
-      ScenarioResult& res = results[k];
-      res.iterations = it + 1;
-      double* temp = temps.data() + local * n;
-      const double* p = powers.data() + a * n;
-      double* rise = rises.data() + a * n;
-      if (r_pkg > 0.0) {
-        double p_total = 0.0;
-        for (std::size_t j = 0; j < n; ++j) p_total += p[j];
-        const double pkg_rise = r_pkg * p_total;
-        for (std::size_t i = 0; i < n; ++i) rise[i] += pkg_rise;
-      }
-      double max_delta = 0.0;
-      double max_rise = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double target = t_sink_ + rise[i];
-        const double updated = temp[i] + opts_.damping * (target - temp[i]);
-        max_delta = std::max(max_delta, std::abs(updated - temp[i]));
-        temp[i] = updated;
-        max_rise = std::max(max_rise, temp[i] - t_sink_);
-      }
-      res.max_delta_last = max_delta;
-      if (opts_.trace.convergence) res.picard_residuals.push_back(max_delta);
-      sweep_max_delta = std::max(sweep_max_delta, max_delta);
-
-      bool done = false;
-      if (max_rise > opts_.runaway_rise_limit) {
-        res.runaway = true;
-        done = true;
-      } else {
-        if (max_delta > prev_delta[local] && it > 0) {
-          if (++growth_streak[local] >= 10) {
-            res.runaway = true;
-            done = true;
-          }
-        } else {
-          growth_streak[local] = 0;
-        }
-        if (!done) {
-          prev_delta[local] = max_delta;
-          if (max_delta < opts_.tol) {
-            res.converged = true;
-            done = true;
-          }
-        }
-      }
-
-      if (done) {
-        finalize(local);
-      } else {
-        active[keep++] = local;  // compaction keeps ascending order
-      }
-    }
-    if (opts_.trace.convergence) {
-      trace_.active_per_sweep.push_back(static_cast<long long>(m));
-      trace_.max_residual_per_sweep.push_back(sweep_max_delta);
-    }
-    active.resize(keep);
-  }
-  // Survivors of max_iterations: not converged, not runaway — same verdict a
-  // standalone solve reaches when its loop runs out.
-  for (const std::size_t local : active) finalize(local);
-
-  long long iterations_sum = 0;
-  for (std::size_t k = begin; k < end; ++k) iterations_sum += results[k].iterations;
-  stats_.scenarios += static_cast<long long>(count);
-  stats_.batched_matvecs += sweeps;
-  stats_.picard_iterations_total += iterations_sum;
-  // Scenario-iterations the masks avoided: without masking every scenario
-  // would ride all `sweeps` blocked applies.
-  stats_.masked_iterations_saved += static_cast<long long>(count) * sweeps - iterations_sum;
 }
 
 thermal::BackendCostStats ScenarioBatch::cost_stats() const {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/picard.hpp"
 #include "spice/newton_core.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -36,6 +37,8 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
                                                  const ElectroThermalDcOptions& opts) {
   const std::size_t n = footprints.size();
   PTHERM_REQUIRE(n > 0, "solve_electrothermal_dc: no device footprints");
+  validate_picard("ElectroThermalDcOptions", opts.damping, opts.temp_tol,
+                  opts.max_outer_iterations, opts.runaway_rise_limit);
   TELEMETRY_SPAN("spice/electrothermal_dc");
 
   // Footprint -> MOSFET index, heat sources, and coincident sample points.
@@ -61,27 +64,28 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
   out.device_powers.assign(n, 0.0);
   std::vector<double> rises(n, 0.0);
   std::vector<double> warm;
-
-  double prev_delta = 0.0;
-  int growth_streak = 0;
-
-  for (int it = 0; it < opts.max_outer_iterations; ++it) {
+  // The electrical solve at the current device temperatures (warm-started
+  // from the previous operating point), then P(T): each device's
+  // dissipation at its own temperature.
+  const auto solve_electrical = [&] {
     for (std::size_t k = 0; k < n; ++k) {
       all_temps[mos_index[k]] = out.device_temperatures[k];
     }
     core.set_device_temperatures(all_temps);
     out.dc = detail::solve_dc_core(circuit, core, opts.dc, warm.empty() ? nullptr : &warm);
-    warm = pack_unknowns(circuit, out.dc);
-    ++out.outer_iterations;
-
-    // P(T): each device's dissipation at its own temperature.
-    const auto& mosfets = circuit.mosfets();
     for (std::size_t k = 0; k < n; ++k) {
-      const auto& m = mosfets[mos_index[k]];
+      const auto& m = circuit.mosfets()[mos_index[k]];
       out.device_powers[k] = m.model.power(
           out.dc.voltage(m.gate), out.dc.voltage(m.drain), out.dc.voltage(m.source),
           out.dc.voltage(m.bulk), out.device_temperatures[k]);
     }
+  };
+
+  PicardVerdict verdict(opts.temp_tol, opts.runaway_rise_limit);
+  for (int it = 0; it < opts.max_outer_iterations; ++it) {
+    solve_electrical();
+    warm = pack_unknowns(circuit, out.dc);
+    ++out.outer_iterations;
 
     // T <- t_sink + R * P, damped.
     influence->apply(out.device_powers, rises);
@@ -96,48 +100,19 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
     }
     out.max_temperature = max_t;
 
-    // Runaway detection — flag and stop, never clamp: the temperatures we
-    // return are the genuine divergent iterates. A damped contraction has
-    // shrinking updates, so a monotonically GROWING update over several
-    // iterations is the fixed point diverging (same criterion as core/cosim);
-    // the hard rise limit catches fast blow-ups before the streak fills.
-    if (max_t - opts.t_sink > opts.runaway_rise_limit) {
-      out.runaway = true;
-      break;
-    }
-    if (max_dt > prev_delta && it > 0) {
-      if (++growth_streak >= opts.runaway_streak) {
-        out.runaway = true;
-        break;
-      }
-    } else {
-      growth_streak = 0;
-    }
-    prev_delta = max_dt;
-
-    if (max_dt < opts.temp_tol) {
-      out.converged = true;
-      break;
-    }
+    // Flag and stop, never clamp: the temperatures we return are the
+    // genuine divergent iterates.
+    const PicardVerdict::State state = verdict.observe(max_dt, max_t - opts.t_sink);
+    out.converged = state == PicardVerdict::State::Converged;
+    out.runaway = state == PicardVerdict::State::Runaway;
+    if (state != PicardVerdict::State::Running) break;
   }
 
   // Re-solve the electrical state at the exit temperatures so the returned
   // voltages, powers, and report are mutually consistent. Not on runaway:
   // the exit temperatures are divergent iterates (deliberately unclamped),
   // and the electrical state that matters is the last converged solve.
-  if (out.runaway) return out;
-  for (std::size_t k = 0; k < n; ++k) {
-    all_temps[mos_index[k]] = out.device_temperatures[k];
-  }
-  core.set_device_temperatures(all_temps);
-  out.dc = detail::solve_dc_core(circuit, core, opts.dc, warm.empty() ? nullptr : &warm);
-  const auto& mosfets = circuit.mosfets();
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto& m = mosfets[mos_index[k]];
-    out.device_powers[k] = m.model.power(
-        out.dc.voltage(m.gate), out.dc.voltage(m.drain), out.dc.voltage(m.source),
-        out.dc.voltage(m.bulk), out.device_temperatures[k]);
-  }
+  if (!out.runaway) solve_electrical();
   return out;
 }
 

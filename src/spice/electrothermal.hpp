@@ -6,8 +6,10 @@
 // otherwise), and the device temperatures feed straight back into the MOSFET
 // evaluation INSIDE the Newton loop via NewtonCore's per-device temperature
 // seam. The T <- t_sink + R * P(T) fixed point is iterated with damping as
-// an outer loop around the recovery-ladder DC solve, mirroring the
-// block-level Picard loop in core/cosim.hpp.
+// an outer loop around the recovery-ladder DC solve. Its settings check and
+// its per-iteration verdict (converged, running, runaway) are the ones the
+// block-level cosim uses (common/picard.hpp); only the damped update stays
+// local, because the inner DC solve sits between power and temperature.
 //
 // Thermal runaway (R * dP/dT >= 1 at the operating point: leakage grows
 // faster with temperature than the die can shed it) is DETECTED and FLAGGED,
@@ -44,11 +46,10 @@ struct ElectroThermalDcOptions {
   double t_sink = 300.0;        ///< heat-sink reference temperature [K]
   int max_outer_iterations = 50;
   double temp_tol = 1e-3;       ///< outer fixed-point convergence [K]
-  double damping = 0.7;         ///< T-update damping (matches core/cosim)
-  /// Runaway flag: any device rise above t_sink beyond this [K] ...
+  double damping = 0.7;         ///< T-update damping in (0, 1] (matches core/cosim)
+  /// Runaway flag: any device rise above t_sink beyond this [K], or the
+  /// growing-update streak of common/picard.hpp.
   double runaway_rise_limit = 400.0;
-  /// ... or this many consecutive outer iterations of monotone max-T growth.
-  int runaway_streak = 10;
 };
 
 struct ElectroThermalDcSolution {
@@ -63,7 +64,10 @@ struct ElectroThermalDcSolution {
   double max_temperature = 0.0;  ///< hottest device at exit [K]
 };
 
-/// Solves the coupled electro-thermal DC operating point. Devices without a
+/// Solves the coupled electro-thermal DC operating point. Throws
+/// ptherm::PreconditionError on unusable Picard settings (damping outside
+/// (0, 1], temp_tol <= 0, max_outer_iterations <= 0 or runaway_rise_limit
+/// <= 0: the validate_picard rule cosim applies). Devices without a
 /// footprint stay at opts.dc.temp. Inner solves reuse one NewtonCore and
 /// warm-start from the previous outer iterate; inner non-convergence
 /// propagates as ConvergenceFailure carrying the full SolveReport. Outer

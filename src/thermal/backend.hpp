@@ -80,35 +80,57 @@ class InfluenceApply {
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
   /// rises[i] = sum_j R[i][j] * powers[j] [K]; both spans must have size()
-  /// elements (throws ptherm::PreconditionError otherwise).
-  virtual void apply(std::span<const double> powers, std::span<double> rises) const = 0;
+  /// elements (throws ptherm::PreconditionError otherwise). The batch of one.
+  void apply(std::span<const double> powers, std::span<double> rises) const {
+    apply_batch(powers, rises, 1);
+  }
 
-  /// Multi-RHS apply for the batched scenario engine: `count` power vectors
-  /// stored contiguously (powers[k*size() + j]) into `count` rise vectors of
-  /// the same layout. Contract: vector k's rises must be BITWISE identical
-  /// to apply() on it alone — implementations may only reorder work across
-  /// vectors (streaming shared tables once per block), never within one
-  /// vector's arithmetic. The default is exactly that serial loop.
+  /// Multi-RHS apply — what the Picard kernel issues every sweep: `count`
+  /// power vectors stored contiguously (powers[k*size() + j]) into `count`
+  /// rise vectors of the same layout (throws ptherm::PreconditionError
+  /// unless both hold count * size() elements). Contract: vector k's rises
+  /// must be BITWISE independent of `count` and of the other vectors —
+  /// implementations may only reorder work across vectors (streaming shared
+  /// tables once per block), never within one vector's arithmetic.
   virtual void apply_batch(std::span<const double> powers, std::span<double> rises,
-                           std::size_t count) const;
+                           std::size_t count) const = 0;
 
   /// Implementation tag for diagnostics and tests ("dense",
   /// "spectral-mode-space").
   [[nodiscard]] virtual std::string_view kind() const noexcept = 0;
 };
 
-/// InfluenceApply over a materialized dense influence matrix — the fallback
-/// the matrix-free seam degrades to for backends whose only representation
-/// IS the matrix (analytic images, FDM). Owns the matrix; must be square.
+/// The dense influence operator: InfluenceApply over a materialized square
+/// matrix R[i][j] = rise at sample i per watt in source j [K/W], flat
+/// row-major. What the matrix-free seam degrades to for backends whose only
+/// representation IS the matrix (analytic images, FDM), what the cosim's
+/// Dense mode iterates on, and the equivalence reference for the spectral
+/// matrix-free path. Owns the matrix; must be square.
 class DenseInfluenceApply final : public InfluenceApply {
  public:
   explicit DenseInfluenceApply(numerics::Matrix r);
 
   [[nodiscard]] std::size_t size() const noexcept override { return r_.rows(); }
-  void apply(std::span<const double> powers, std::span<double> rises) const override;
+
+  /// R[i][j], bounds-checked.
+  [[nodiscard]] double at(std::size_t i, std::size_t j) const;
+
+  /// Adds `resistance` [K/W] to every entry — a lumped package/heat-sink
+  /// path couples every pair of blocks uniformly.
+  void add_uniform(double resistance);
+
+  /// rises = R * powers, allocation-free (the base apply) or returned.
+  using InfluenceApply::apply;
+  [[nodiscard]] std::vector<double> apply(std::span<const double> powers) const;
+
+  /// One Matrix::multiply_batch, streaming R once per row for the whole
+  /// block; each vector's dot products run in ascending column order,
+  /// exactly as Matrix::multiply.
   void apply_batch(std::span<const double> powers, std::span<double> rises,
                    std::size_t count) const override;
   [[nodiscard]] std::string_view kind() const noexcept override { return "dense"; }
+
+  [[nodiscard]] const numerics::Matrix& matrix() const noexcept { return r_; }
 
  private:
   numerics::Matrix r_;

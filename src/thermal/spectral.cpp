@@ -597,80 +597,32 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
 
 void SpectralThermalSolver::apply_influence(InfluenceProjection& proj,
                                             std::span<const double> powers,
-                                            std::span<double> rises) const {
-  const std::size_t n = proj.count;
-  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
-  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
-  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my &&
-                     proj.coeff.size() == static_cast<std::size_t>(mode_count()),
-                 "apply_influence: projection belongs to a different spectral configuration");
-  PTHERM_REQUIRE(powers.size() == n && rises.size() == n,
-                 "apply_influence: powers/rises must have one entry per source");
-  // (1) Powers -> flux modes: a power-scaled rank-1 accumulate per source.
-  std::fill(proj.coeff.begin(), proj.coeff.end(), 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double power = powers[j];
-    if (power == 0.0) continue;
-    const double* px = proj.proj_x.data() + j * mx;
-    const double* py = proj.proj_y.data() + j * my;
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      const double fy = power * py[nn];
-      if (fy == 0.0) continue;
-      double* row = proj.coeff.data() + nn * mx;
-      for (std::size_t m = 0; m < mx; ++m) row[m] += fy * px[m];
-    }
-  }
-  // (2) Per-mode surface transfer: flux modes -> surface-rise coefficients.
-  for (std::size_t mode = 0; mode < proj.coeff.size(); ++mode) {
-    proj.coeff[mode] *= transfer_[mode];
-  }
-  // (3) Batched readback: separable cosine synthesis per sample from the
-  // cached tables (the gather matvec, without materializing its matrix).
-  for (std::size_t p = 0; p < n; ++p) {
-    const double* cx = proj.cos_x.data() + p * mx;
-    const double* cy = proj.cos_y.data() + p * my;
-    double total = 0.0;
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      const double* row = proj.coeff.data() + nn * mx;
-      double inner = 0.0;
-      for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
-      total += inner * cy[nn];
-    }
-    rises[p] = total;
-  }
-}
-
-void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
-                                                  std::span<const double> powers,
-                                                  std::span<double> rises,
-                                                  std::size_t count) const {
+                                            std::span<double> rises, std::size_t count) const {
   const std::size_t n = proj.count;
   const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   const std::size_t modes = static_cast<std::size_t>(mode_count());
-  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my &&
-                     proj.coeff.size() == modes,
-                 "apply_influence_batch: projection belongs to a different spectral "
-                 "configuration");
+  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my,
+                 "apply_influence: projection belongs to a different spectral configuration");
   PTHERM_REQUIRE(powers.size() == count * n && rises.size() == count * n,
-                 "apply_influence_batch: powers/rises must have count * proj.count entries");
-  if (proj.batch_coeff.size() < count * modes) proj.batch_coeff.resize(count * modes);
+                 "apply_influence: powers/rises must have count * proj.count entries");
+  if (proj.coeff.size() < count * modes) proj.coeff.resize(count * modes);
 
   // Each stage streams the shared geometry tables once per source / sample
-  // for the whole scenario block; within one scenario the operations (and
-  // their zero-skip guards) run in apply_influence's exact order, so every
-  // scenario's result matches a standalone apply bitwise.
+  // for the whole block of vectors; within one vector the operations (and
+  // their zero-skip guards) run in the same order whatever `count` is, so
+  // every vector's rises match a one-vector apply bitwise.
   //
   // (1) Powers -> flux modes, a rank-1 accumulate per (source, scenario):
   // source j's px/py rows are loaded once and applied across all scenarios.
-  std::fill(proj.batch_coeff.begin(), proj.batch_coeff.begin() + count * modes, 0.0);
+  std::fill(proj.coeff.begin(), proj.coeff.begin() + count * modes, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const double* px = proj.proj_x.data() + j * mx;
     const double* py = proj.proj_y.data() + j * my;
     for (std::size_t k = 0; k < count; ++k) {
       const double power = powers[k * n + j];
       if (power == 0.0) continue;
-      double* coeff = proj.batch_coeff.data() + k * modes;
+      double* coeff = proj.coeff.data() + k * modes;
       for (std::size_t nn = 0; nn < my; ++nn) {
         const double fy = power * py[nn];
         if (fy == 0.0) continue;
@@ -681,7 +633,7 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
   }
   // (2) Per-mode surface transfer over the whole block.
   for (std::size_t k = 0; k < count; ++k) {
-    double* coeff = proj.batch_coeff.data() + k * modes;
+    double* coeff = proj.coeff.data() + k * modes;
     for (std::size_t mode = 0; mode < modes; ++mode) coeff[mode] *= transfer_[mode];
   }
   // (3) Per-sample cosine synthesis: sample p's tables are loaded once and
@@ -690,7 +642,7 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
     const double* cx = proj.cos_x.data() + p * mx;
     const double* cy = proj.cos_y.data() + p * my;
     for (std::size_t k = 0; k < count; ++k) {
-      const double* coeff = proj.batch_coeff.data() + k * modes;
+      const double* coeff = proj.coeff.data() + k * modes;
       double total = 0.0;
       for (std::size_t nn = 0; nn < my; ++nn) {
         const double* row = coeff + nn * mx;

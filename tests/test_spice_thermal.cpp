@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
 #include "core/scenario_batch.hpp"
@@ -151,6 +152,34 @@ TEST(ElectroThermalDc, UnfootprintedDevicesStayAtAmbient) {
   ASSERT_TRUE(sol.dc.converged);
   EXPECT_DOUBLE_EQ(sol.dc.report.device_temperatures.at("MCOLD"), t_sink);
   EXPECT_GE(sol.dc.report.device_temperatures.at("MHOT"), t_sink);
+}
+
+TEST(ElectroThermalDc, RejectsUnusablePicardSettings) {
+  // damping = 0 never moves the iterate, so the tolerance test would pass
+  // after one outer iteration at the cold seed, 27 K below the fixed point;
+  // damping > 1 overshoots. The cosim rule applies: damping in (0, 1],
+  // positive tolerance, iteration limit and rise limit.
+  const double t_sink = 300.0;
+  thermal::AnalyticImagesBackend backend(hot_die(t_sink));
+  const auto fps = center_footprint();
+  const auto ckt = wide_device_circuit();
+  const std::vector<void (*)(ElectroThermalDcOptions&)> breakers = {
+      [](ElectroThermalDcOptions& o) { o.damping = 0.0; },
+      [](ElectroThermalDcOptions& o) { o.damping = -0.5; },
+      [](ElectroThermalDcOptions& o) { o.damping = 2.5; },
+      [](ElectroThermalDcOptions& o) { o.temp_tol = 0.0; },
+      [](ElectroThermalDcOptions& o) { o.max_outer_iterations = 0; },
+      [](ElectroThermalDcOptions& o) { o.runaway_rise_limit = 0.0; },
+  };
+  for (std::size_t i = 0; i < breakers.size(); ++i) {
+    ElectroThermalDcOptions opts = et_opts(t_sink);
+    breakers[i](opts);
+    EXPECT_THROW((void)solve_electrothermal_dc(ckt, backend, fps, opts), PreconditionError)
+        << "case " << i;
+  }
+  ElectroThermalDcOptions full_step = et_opts(t_sink);
+  full_step.damping = 1.0;  // the closed end of (0, 1] is valid
+  EXPECT_NO_THROW((void)solve_electrothermal_dc(ckt, backend, fps, full_step));
 }
 
 // ---------------------------------------------------------------------------
