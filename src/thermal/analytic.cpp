@@ -36,7 +36,11 @@ double line_source_rise(double k_si, double power, double w, double x, double y)
 }
 
 double rect_rise_min(double k_si, const HeatSource& src, double x, double y) noexcept {
-  const double t0 = rect_center_rise(k_si, src.power, src.w, src.l);
+  return detail::rect_rise_min(k_si, src, rect_center_rise(k_si, src.power, src.w, src.l), x, y);
+}
+
+double detail::rect_rise_min(double k_si, const HeatSource& src, double t0, double x,
+                             double y) noexcept {
   // Orient the line source along the longer rectangle side (§3.2: W > L).
   double dx = x - src.cx;
   double dy = y - src.cy;

@@ -41,6 +41,15 @@ struct HeatSource {
 [[nodiscard]] double rect_rise_min(double k_si, const HeatSource& src, double x,
                                    double y) noexcept;
 
+namespace detail {
+/// rect_rise_min with the source's Eq. (18) centre rise `t0` =
+/// rect_center_rise(k_si, src.power, src.w, src.l) passed in: `t0` depends
+/// only on the source, so a caller that queries one source at many points
+/// (the image model) computes it once.
+[[nodiscard]] double rect_rise_min(double k_si, const HeatSource& src, double t0, double x,
+                                   double y) noexcept;
+}  // namespace detail
+
 /// Closed-form evaluation of Eq. (17): the 1/r kernel integrated over the
 /// rectangle has antiderivative v*asinh(u/|v|) + u*asinh(v/|u|); corner sums
 /// give the exact rise anywhere (inside or outside the source).

@@ -104,9 +104,7 @@ std::vector<double> AnalyticImagesBackend::surface_rises(
   const ChipThermalModel model(die_, sources, opts_);
   ++stats_.steady_solves;
   std::vector<double> rises(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    rises[p] = model.rise(points[p].x, points[p].y);
-  }
+  model.rises(points, rises);
   return rises;
 }
 
@@ -475,16 +473,17 @@ numerics::Matrix analytic_influence_columns(const Die& die,
   PTHERM_REQUIRE(n > 0, "influence: no sources");
   PTHERM_REQUIRE(samples.size() == n, "influence: need one sample per source");
   numerics::Matrix r(samples.size(), n);
+  std::vector<double> column(samples.size());
   for (std::size_t j = 0; j < n; ++j) {
     // A single-source model per column evaluates only that column's mirror
     // images — superposition makes the other sources' zero-power images
-    // exactly nothing.
+    // exactly nothing — and of those only the copies within the cutoff of
+    // some sample.
     std::vector<HeatSource> one = {sources[j]};
     one[0].power = 1.0;
     const ChipThermalModel model(die, std::move(one), opts);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      r(i, j) = model.rise(samples[i].x, samples[i].y);
-    }
+    model.rises(samples, column);
+    for (std::size_t i = 0; i < samples.size(); ++i) r(i, j) = column[i];
   }
   if (stats != nullptr) stats->influence_columns += static_cast<int>(n);
   return r;

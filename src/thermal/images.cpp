@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace ptherm::thermal {
+
+namespace {
+/// With bottom images a lateral copy contributes exactly nothing to a point
+/// more than this many die thicknesses away (see image_rise).
+constexpr double kCutoffThicknesses = 8.0;
+}  // namespace
 
 ChipThermalModel::ChipThermalModel(Die die, std::vector<HeatSource> sources, ImageOptions opts)
     : die_(die), sources_(std::move(sources)), opts_(opts) {
@@ -18,6 +25,11 @@ ChipThermalModel::ChipThermalModel(Die die, std::vector<HeatSource> sources, Ima
   }
   clip_sources();
   rebuild_images();
+  depth_sq_.resize(static_cast<std::size_t>(opts_.z_order));
+  for (int j = 1; j <= opts_.z_order; ++j) {
+    const double depth = 2.0 * j * die_.thickness;
+    depth_sq_[static_cast<std::size_t>(j - 1)] = depth * depth;
+  }
 }
 
 void ChipThermalModel::clip_sources() {
@@ -61,8 +73,9 @@ void ChipThermalModel::rebuild_images() {
   for (std::size_t si = 0; si < clipped_.size(); ++si) {
     const HeatSource& s = clipped_[si];
     if (s.w <= 0.0) continue;  // fully off-die: no field
+    const double t0 = rect_center_rise(die_.k_si, s.power, s.w, s.l);
     if (order == 0) {
-      images_.push_back({s, si});
+      images_.push_back({s, si, t0});
       continue;
     }
     // Mirror lattice for adiabatic walls at x = 0 / x = wd (and same in y):
@@ -80,7 +93,7 @@ void ChipThermalModel::rebuild_images() {
             HeatSource img = s;
             img.cx = cx;
             img.cy = cy;
-            images_.push_back({img, si});
+            images_.push_back({img, si, t0});
           }
         }
       }
@@ -98,9 +111,9 @@ double ChipThermalModel::image_rise(const Image& img, double x, double y) const 
     // exp(-pi*rho/(2t)); beyond a few thicknesses it is numerically nothing,
     // so distant lateral mirrors are skipped outright (this also makes the
     // lateral-order truncation converge instead of accumulating tails).
-    if (rho_sq > (8.0 * t) * (8.0 * t)) return 0.0;
+    if (rho_sq > (kCutoffThicknesses * t) * (kCutoffThicknesses * t)) return 0.0;
   }
-  double rise = rect_rise_min(die_.k_si, img.source, x, y);
+  double rise = detail::rect_rise_min(die_.k_si, img.source, img.center_rise, x, y);
   if (!opts_.bottom_images) return rise;
   // Alternating z-image series for the isothermal plane at depth t, seen
   // from the (adiabatic) surface:
@@ -115,9 +128,9 @@ double ChipThermalModel::image_rise(const Image& img, double x, double y) const 
   double series = 0.0;
   int tail_count = 0;
   for (int j = 1; j <= n_terms; ++j) {
-    const double depth = 2.0 * j * t;
     series += 2.0 * ((j % 2 == 1) ? -1.0 : 1.0) *
-              point_source_rise(die_.k_si, img.source.power, std::sqrt(rho_sq + depth * depth));
+              point_source_rise(die_.k_si, img.source.power,
+                                std::sqrt(rho_sq + depth_sq_[static_cast<std::size_t>(j - 1)]));
     if (j > n_terms - kTail) partials[tail_count++] = series;
   }
   // Euler transform on the trailing partial sums.
@@ -131,6 +144,48 @@ double ChipThermalModel::rise(double x, double y) const {
   double sum = 0.0;
   for (const auto& img : images_) sum += image_rise(img, x, y);
   return sum;
+}
+
+void ChipThermalModel::rises(std::span<const SurfaceSample> points,
+                             std::span<double> out) const {
+  PTHERM_REQUIRE(out.size() == points.size(),
+                 "ChipThermalModel::rises: need one output per point");
+  // image_rise returns exactly +0.0 for a copy beyond the cutoff, and a sum
+  // that starts at +0.0 never becomes -0.0, so leaving out a copy that is
+  // beyond the cutoff from EVERY point changes no sum by a bit. A copy is
+  // left out when its centre is farther than the cutoff from the points'
+  // bounding box by a relative margin (1e-9) far above the rounding of
+  // either distance; the copies that stay still take the per-point test.
+  // Without bottom images there is no cutoff, and a non-finite coordinate
+  // keeps every copy (a NaN point sums NaN from all of them).
+  bool prune = opts_.bottom_images;
+  double x0 = std::numeric_limits<double>::infinity();
+  double x1 = -x0;
+  double y0 = x0;
+  double y1 = -x0;
+  for (const SurfaceSample& p : points) {
+    prune = prune && std::isfinite(p.x) && std::isfinite(p.y);
+    x0 = std::min(x0, p.x);
+    x1 = std::max(x1, p.x);
+    y0 = std::min(y0, p.y);
+    y1 = std::max(y1, p.y);
+  }
+  std::vector<Image> reachable;
+  std::span<const Image> live = images_;
+  if (prune && !points.empty()) {
+    const double reach = kCutoffThicknesses * die_.thickness * (1.0 + 1e-9);
+    for (const Image& img : images_) {
+      const double dx = std::max({x0 - img.source.cx, img.source.cx - x1, 0.0});
+      const double dy = std::max({y0 - img.source.cy, img.source.cy - y1, 0.0});
+      if (dx * dx + dy * dy <= reach * reach) reachable.push_back(img);
+    }
+    live = reachable;
+  }
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    double sum = 0.0;
+    for (const Image& img : live) sum += image_rise(img, points[p].x, points[p].y);
+    out[p] = sum;
+  }
 }
 
 double ChipThermalModel::temperature(double x, double y) const {
@@ -159,8 +214,13 @@ void ChipThermalModel::set_source_power(std::size_t i, double power) {
   PTHERM_REQUIRE(i < sources_.size(), "set_source_power: index out of range");
   sources_[i].power = power;
   clipped_[i].power = power;
+  if (clipped_[i].w <= 0.0) return;  // fully off-die: no images
+  const double t0 = rect_center_rise(die_.k_si, power, clipped_[i].w, clipped_[i].l);
   for (auto& img : images_) {
-    if (img.parent == i) img.source.power = power;
+    if (img.parent == i) {
+      img.source.power = power;
+      img.center_rise = t0;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // plane).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,13 @@ class ChipThermalModel {
   /// Temperature rise above the heat sink at surface point (x, y) [K].
   [[nodiscard]] double rise(double x, double y) const;
 
+  /// Rises at many surface points: out[p] == rise(points[p].x, points[p].y),
+  /// bitwise. With bottom images, the lateral copies beyond the cutoff
+  /// distance from every point are dropped once for the whole call instead
+  /// of being tested at each point (see images.cpp). Throws
+  /// ptherm::PreconditionError unless out has one entry per point.
+  void rises(std::span<const SurfaceSample> points, std::span<double> out) const;
+
   /// Absolute temperature = sink temperature + rise [K].
   [[nodiscard]] double temperature(double x, double y) const;
 
@@ -83,6 +91,8 @@ class ChipThermalModel {
   struct Image {
     HeatSource source;   ///< lateral mirror copy
     std::size_t parent;  ///< index of the originating source
+    /// Eq. (18) centre rise of the copy; every copy of a source shares it.
+    double center_rise;
   };
   void clip_sources();
   void rebuild_images();
@@ -95,6 +105,7 @@ class ChipThermalModel {
   std::vector<HeatSource> clipped_;   ///< die-clipped footprints; w == 0 marks fully off-die
   ImageOptions opts_;
   std::vector<Image> images_;
+  std::vector<double> depth_sq_;  ///< (2 j t)^2 of z-image j = 1..z_order
 };
 
 }  // namespace ptherm::thermal

@@ -1,10 +1,14 @@
 #include "thermal/spectral.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <numbers>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "numerics/dense.hpp"
@@ -35,6 +39,34 @@ double cosine_footprint_integral(int m, double extent, double u0, double u1) {
   return (std::sin(f * u1) - std::sin(f * u0)) / f;
 }
 
+/// Rows of cosine_footprint_integral over m = 0..modes-1 along one axis,
+/// memoized by the exact (bitwise) footprint edges: the sources of one grid
+/// column or row share their edges, so a batch of projections computes each
+/// distinct row once and reuses it. A returned row stays valid until the
+/// next call.
+class CosineIntegralRows {
+ public:
+  CosineIntegralRows(int modes, double extent)
+      : modes_(static_cast<std::size_t>(modes)), extent_(extent) {}
+
+  const double* row(double u0, double u1) {
+    const auto [it, fresh] = first_.try_emplace(
+        {std::bit_cast<std::uint64_t>(u0), std::bit_cast<std::uint64_t>(u1)}, rows_.size());
+    if (fresh) {
+      for (std::size_t m = 0; m < modes_; ++m) {
+        rows_.push_back(cosine_footprint_integral(static_cast<int>(m), extent_, u0, u1));
+      }
+    }
+    return rows_.data() + it->second;
+  }
+
+ private:
+  std::size_t modes_;
+  double extent_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> first_;
+  std::vector<double> rows_;
+};
+
 /// Steady depth profile sinh(g (t - z)) / sinh(g t) ((t - z) / t at g = 0),
 /// in the overflow-safe exponential form (g t reaches hundreds at high mode
 /// counts).
@@ -50,9 +82,10 @@ double steady_depth_profile(double g, double t, double z) {
 /// policy — full power over the die-clipped footprint, fully off-die
 /// sources inert (returns false with the factors zeroed), degenerate
 /// sources rejected — shared by the steady projection and the transient
-/// projection cache so the two paths cannot diverge.
+/// projection cache so the two paths cannot diverge. `xs`/`ys` memoize the
+/// footprint integrals along x (extent die.width, modes_x) and y.
 bool unit_flux_factors(const Die& die, const HeatSource& s, int modes_x, int modes_y,
-                       double* px, double* py) {
+                       CosineIntegralRows& xs, CosineIntegralRows& ys, double* px, double* py) {
   PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
   const double x0 = std::max(s.cx - 0.5 * s.w, 0.0);
   const double x1 = std::min(s.cx + 0.5 * s.w, die.width);
@@ -64,12 +97,10 @@ bool unit_flux_factors(const Die& die, const HeatSource& s, int modes_x, int mod
     return false;
   }
   const double base = 1.0 / ((x1 - x0) * (y1 - y0) * die.width * die.height);
-  for (int m = 0; m < modes_x; ++m) {
-    px[m] = ((m == 0) ? 1.0 : 2.0) * base * cosine_footprint_integral(m, die.width, x0, x1);
-  }
-  for (int n = 0; n < modes_y; ++n) {
-    py[n] = ((n == 0) ? 1.0 : 2.0) * cosine_footprint_integral(n, die.height, y0, y1);
-  }
+  const double* ix = xs.row(x0, x1);
+  for (int m = 0; m < modes_x; ++m) px[m] = ((m == 0) ? 1.0 : 2.0) * base * ix[m];
+  const double* iy = ys.row(y0, y1);
+  for (int n = 0; n < modes_y; ++n) py[n] = ((n == 0) ? 1.0 : 2.0) * iy[n];
   return true;
 }
 
@@ -441,8 +472,11 @@ void SpectralThermalSolver::accumulate_surface_coefficients(
                  "spectral: coefficient vector size mismatch");
   std::vector<double> px(static_cast<std::size_t>(opts_.modes_x));
   std::vector<double> py(static_cast<std::size_t>(opts_.modes_y));
+  CosineIntegralRows xs(opts_.modes_x, die_.width);
+  CosineIntegralRows ys(opts_.modes_y, die_.height);
   for (const auto& s : sources) {
-    if (!unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, px.data(), py.data())) {
+    if (!unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, xs, ys, px.data(),
+                           py.data())) {
       continue;
     }
     // Flux coefficients q_mn = power * px_m * py_n; the surface transfer
@@ -575,23 +609,33 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   proj.cos_x.resize(n * mx);
   proj.cos_y.resize(n * my);
   proj.coeff.resize(static_cast<std::size_t>(mode_count()));
+  proj.inner.resize(n);
+  CosineIntegralRows xs(opts_.modes_x, die_.width);
+  CosineIntegralRows ys(opts_.modes_y, die_.height);
   for (std::size_t j = 0; j < n; ++j) {
     // The shared projection core: steady clipping policy, c_m normalization
     // and per-watt flux density folded in, so source j's flux modes are
     // power_j * px_m * py_n.
-    unit_flux_factors(die_, sources[j], opts_.modes_x, opts_.modes_y,
+    unit_flux_factors(die_, sources[j], opts_.modes_x, opts_.modes_y, xs, ys,
                       proj.proj_x.data() + j * mx, proj.proj_y.data() + j * my);
   }
-  for (std::size_t p = 0; p < n; ++p) {
-    double* cx = proj.cos_x.data() + p * mx;
-    double* cy = proj.cos_y.data() + p * my;
-    for (std::size_t m = 0; m < mx; ++m) {
-      cx[m] = std::cos(static_cast<double>(m) * kPi * samples[p].x / die_.width);
+  // A sample's cosine column depends only on its exact coordinate, which the
+  // samples of one grid column (row) share: compute each distinct column
+  // once and copy it.
+  const auto fill = [n](std::vector<double>& table, std::size_t modes, double extent,
+                        auto coordinate) {
+    std::map<std::uint64_t, std::size_t> first;
+    for (std::size_t p = 0; p < n; ++p) {
+      const double u = coordinate(p);
+      const auto [it, fresh] = first.try_emplace(std::bit_cast<std::uint64_t>(u), p);
+      for (std::size_t m = 0; m < modes; ++m) {
+        table[m * n + p] = fresh ? std::cos(static_cast<double>(m) * kPi * u / extent)
+                                 : table[m * n + it->second];
+      }
     }
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      cy[nn] = std::cos(static_cast<double>(nn) * kPi * samples[p].y / die_.height);
-    }
-  }
+  };
+  fill(proj.cos_x, mx, die_.width, [&](std::size_t p) { return samples[p].x; });
+  fill(proj.cos_y, my, die_.height, [&](std::size_t p) { return samples[p].y; });
   return proj;
 }
 
@@ -636,21 +680,27 @@ void SpectralThermalSolver::apply_influence(InfluenceProjection& proj,
     double* coeff = proj.coeff.data() + k * modes;
     for (std::size_t mode = 0; mode < modes; ++mode) coeff[mode] *= transfer_[mode];
   }
-  // (3) Per-sample cosine synthesis: sample p's tables are loaded once and
-  // dotted against every scenario's mode block.
-  for (std::size_t p = 0; p < n; ++p) {
-    const double* cx = proj.cos_x.data() + p * mx;
-    const double* cy = proj.cos_y.data() + p * my;
-    for (std::size_t k = 0; k < count; ++k) {
-      const double* coeff = proj.coeff.data() + k * modes;
-      double total = 0.0;
-      for (std::size_t nn = 0; nn < my; ++nn) {
-        const double* row = coeff + nn * mx;
-        double inner = 0.0;
-        for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
-        total += inner * cy[nn];
+  // (3) Cosine synthesis as a sweep over all samples at once: the tables
+  // are mode-major, so each mode coefficient is added into every sample's
+  // own accumulator (independent chains the compiler can vectorize, not one
+  // serial dot product per sample). Each sample still sums its inner terms
+  // in ascending m from 0.0 and its total in ascending nn from 0.0 — the
+  // order of a per-sample dot product, bitwise.
+  double* inner = proj.inner.data();
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* coeff = proj.coeff.data() + k * modes;
+    double* total = rises.data() + k * n;
+    std::fill(total, total + n, 0.0);
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      const double* row = coeff + nn * mx;
+      std::fill(inner, inner + n, 0.0);
+      for (std::size_t m = 0; m < mx; ++m) {
+        const double c = row[m];
+        const double* cx = proj.cos_x.data() + m * n;
+        for (std::size_t p = 0; p < n; ++p) inner[p] += c * cx[p];
       }
-      rises[k * n + p] = total;
+      const double* cy = proj.cos_y.data() + nn * n;
+      for (std::size_t p = 0; p < n; ++p) total[p] += inner[p] * cy[p];
     }
   }
 }
@@ -682,6 +732,8 @@ void SpectralThermalSolver::refresh_projections(TransientSolution& state,
     state.proj_x.assign(n * mx, 0.0);
     state.proj_y.assign(n * my, 0.0);
   }
+  CosineIntegralRows xs(opts_.modes_x, die_.width);
+  CosineIntegralRows ys(opts_.modes_y, die_.height);
   for (std::size_t j = 0; j < n; ++j) {
     const HeatSource& s = sources[j];
     double* key = state.proj_key.data() + 4 * j;
@@ -693,8 +745,8 @@ void SpectralThermalSolver::refresh_projections(TransientSolution& state,
     // The shared projection core applies the steady path's clipping policy
     // and folds the c_m normalization plus the per-watt flux density into
     // the separable factors, so a step's projection is power * px_m * py_n.
-    unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, state.proj_x.data() + j * mx,
-                      state.proj_y.data() + j * my);
+    unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, xs, ys,
+                      state.proj_x.data() + j * mx, state.proj_y.data() + j * my);
   }
 }
 

@@ -132,11 +132,15 @@ class SpectralThermalSolver {
     std::size_t count = 0;       ///< sources == samples count
     std::vector<double> proj_x;  ///< per-watt x flux factors, modes_x per source
     std::vector<double> proj_y;  ///< per-watt y flux factors, modes_y per source
-    std::vector<double> cos_x;   ///< cos(m pi x_i / W) tables, modes_x per sample
-    std::vector<double> cos_y;   ///< cos(n pi y_i / H) tables, modes_y per sample
+    /// cos(m pi x_i / W), mode-major: cos_x[m * count + i].
+    std::vector<double> cos_x;
+    /// cos(n pi y_i / H), mode-major: cos_y[n * count + i].
+    std::vector<double> cos_y;
     /// Mode-space scratch: one mode_count() block per power vector, grown
     /// on demand by apply_influence.
     std::vector<double> coeff;
+    /// Synthesis scratch: one partial sum per sample.
+    std::vector<double> inner;
   };
 
   /// Builds the influence projection for fixed source geometry and sample
@@ -150,10 +154,11 @@ class SpectralThermalSolver {
   /// power vectors stored scenario-major (powers[k * proj.count + j]) into
   /// rise vectors of the same layout: accumulate the flux modes as
   /// power-scaled rank-1 updates, apply the per-mode surface transfer, then
-  /// synthesize each sample from the cached cosine tables. The tables are
-  /// streamed once per source/sample for the whole block (the mode-space
-  /// accumulate becomes a small GEMM), but each vector's arithmetic keeps
-  /// one fixed order, so its rises are bitwise independent of `count`.
+  /// synthesize all samples in one sweep over the mode-major cosine tables.
+  /// The projection factors are streamed once per source for the whole
+  /// block (the mode-space accumulate becomes a small GEMM), but each
+  /// vector's arithmetic keeps one fixed order, so its rises are bitwise
+  /// independent of `count`.
   /// `proj` must come from this solver's make_influence_projection.
   void apply_influence(InfluenceProjection& proj, std::span<const double> powers,
                        std::span<double> rises, std::size_t count) const;

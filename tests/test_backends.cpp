@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/cosim.hpp"
 #include "core/transient.hpp"
 #include "floorplan/generators.hpp"
+#include "netlist/cells.hpp"
 
 namespace ptherm::core {
 namespace {
@@ -245,6 +247,71 @@ TEST(BackendAgreement, CosimResultsAgreeAcrossAllThreeBackends) {
   EXPECT_NEAR(rise_a / rise_f, 1.0, 0.25);  // paper's estimator band
   EXPECT_NEAR(rise_a / rise_s, 1.0, 0.25);
   EXPECT_NEAR(results[2].total_leakage / results[1].total_leakage, 1.0, 0.10);
+}
+
+// The analytic backend's batched queries drop, once per call, the image
+// copies beyond the bottom-image cutoff from every sample. Over generated
+// plans, dies, image options and samples (block centres and points anywhere
+// around the die), both batched queries must equal per-point
+// ChipThermalModel::rise sums bit for bit, so the pruning can never drop a
+// copy that contributes.
+TEST(AnalyticImagesProperty, BatchedQueriesEqualPerPointRiseSums) {
+  const Technology t = tech();
+  floorplan::GeneratorConfig cfg;
+  cfg.library = std::make_shared<const netlist::CellLibrary>(t);
+  Rng rng(2024);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    thermal::Die d = die_1mm();
+    d.width = rng.uniform(1e-3, 5e-3);
+    d.height = rng.uniform(1e-3, 5e-3);
+    d.thickness = rng.uniform(80e-6, 500e-6);  // cutoff 8t: 0.64 to 4 mm
+    const int a = 2 + static_cast<int>(rng.uniform_index(4));
+    const int b = 2 + static_cast<int>(rng.uniform_index(4));
+    floorplan::Floorplan fp(d);
+    switch (trial % 4) {
+      case 0: fp = floorplan::make_uniform_grid(t, d, a, b, cfg, rng); break;
+      case 1: fp = floorplan::make_hotspot_map(t, d, a + b, 0.4, cfg, rng); break;
+      case 2: fp = floorplan::make_checkerboard(t, d, a, b, cfg, rng); break;
+      default: fp = floorplan::make_manycore(t, d, a / 2 + 1, b / 2 + 1, cfg, rng); break;
+    }
+    thermal::ImageOptions opts;
+    opts.lateral_order = trial % 3;
+    opts.bottom_images = trial % 5 != 4;
+    opts.z_order = 8 + 4 * (trial % 5);
+    const auto sources = fp.heat_sources(t);
+    std::vector<thermal::SurfaceSample> samples;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (i % 2 == 0) {
+        samples.push_back({sources[i].cx, sources[i].cy});
+      } else {
+        samples.push_back({rng.uniform(-0.25, 1.25) * d.width, rng.uniform(-0.25, 1.25) * d.height});
+      }
+    }
+    const std::size_t n = sources.size();
+    const thermal::AnalyticImagesBackend backend(d, opts);
+
+    const numerics::Matrix r = backend.build_influence(sources, samples);
+    std::vector<double> want(n * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      std::vector<thermal::HeatSource> one = {sources[j]};
+      one[0].power = 1.0;
+      const thermal::ChipThermalModel model(d, one, opts);
+      for (std::size_t i = 0; i < n; ++i) want[i * n + j] = model.rise(samples[i].x, samples[i].y);
+    }
+    std::vector<double> got(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) got[i * n + j] = r(i, j);
+    }
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(double)), 0);
+
+    const thermal::ChipThermalModel model(d, sources, opts);
+    std::vector<double> rises(n);
+    for (std::size_t i = 0; i < n; ++i) rises[i] = model.rise(samples[i].x, samples[i].y);
+    const std::vector<double> batched = backend.surface_rises(sources, samples);
+    ASSERT_EQ(batched.size(), n);
+    EXPECT_EQ(std::memcmp(batched.data(), rises.data(), n * sizeof(double)), 0);
+  }
 }
 
 TEST(BackendAgreement, InfluenceOperatorsAgreePairwise) {
