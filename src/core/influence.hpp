@@ -8,7 +8,8 @@
 // Construction is batched per column by the backend layer
 // (thermal/backend.hpp):
 //  * Analytic: a single-source image model per column evaluates only that
-//    column's mirror images.
+//    column's mirror images, and of those only the copies within the
+//    bottom-image cutoff of some sample.
 //  * FDM: one solver (one stencil assembly + one IC(0) factorization) for
 //    every column, each unit-source CG warm-started from the previous
 //    column's field translated onto the new source position.

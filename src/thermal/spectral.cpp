@@ -622,11 +622,11 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   // A sample's cosine column depends only on its exact coordinate, which the
   // samples of one grid column (row) share: compute each distinct column
   // once and copy it.
-  const auto fill = [n](std::vector<double>& table, std::size_t modes, double extent,
-                        auto coordinate) {
+  const auto fill = [&](std::vector<double>& table, std::size_t modes, double extent,
+                        double SurfaceSample::*axis) {
     std::map<std::uint64_t, std::size_t> first;
     for (std::size_t p = 0; p < n; ++p) {
-      const double u = coordinate(p);
+      const double u = samples[p].*axis;
       const auto [it, fresh] = first.try_emplace(std::bit_cast<std::uint64_t>(u), p);
       for (std::size_t m = 0; m < modes; ++m) {
         table[m * n + p] = fresh ? std::cos(static_cast<double>(m) * kPi * u / extent)
@@ -634,8 +634,8 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
       }
     }
   };
-  fill(proj.cos_x, mx, die_.width, [&](std::size_t p) { return samples[p].x; });
-  fill(proj.cos_y, my, die_.height, [&](std::size_t p) { return samples[p].y; });
+  fill(proj.cos_x, mx, die_.width, &SurfaceSample::x);
+  fill(proj.cos_y, my, die_.height, &SurfaceSample::y);
   return proj;
 }
 
