@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -365,6 +366,30 @@ TEST(TransientCosimHook, RejectsBadEpochConfigurationAndNullHook) {
   opts = fast_opts();
   EXPECT_THROW(solve_transient_cosim(tech(), fp, PowerUpdateHook{}, opts),
                PreconditionError);
+}
+
+TEST(TransientCosimGoldens, ActivityProfileRunMatchesGoldens) {
+  // Hexfloat pins of a short spectral run driven by an activity profile:
+  // the profile hook's leakage evaluation and the plant feed these numbers.
+  TransientCosimOptions opts;
+  opts.backend = ThermalBackend::Spectral;
+  opts.spectral.modes_x = 32;
+  opts.spectral.modes_y = 32;
+  opts.dt = 2e-4;
+  opts.t_stop = 4e-3;
+  opts.record_every = 20;
+  const ActivityProfile alternating = [](std::size_t i, double t) {
+    return 0.5 + 0.5 * static_cast<double>((i + static_cast<std::size_t>(t * 1e3)) % 2);
+  };
+  const auto r = solve_transient_cosim(tech(), small_plan(), alternating, opts);
+  ASSERT_EQ(r.times.size(), 2u);
+  EXPECT_EQ(r.leakage_power.back(), 0x1.0aa3b32ac04d8p-13);
+  const std::vector<double> final_temps = {0x1.4563e2c4a4831p+8, 0x1.42cecab966966p+8,
+                                           0x1.4563e28448c3ep+8, 0x1.42cec866c973bp+8};
+  ASSERT_EQ(r.block_temps.back().size(), final_temps.size());
+  for (std::size_t i = 0; i < final_temps.size(); ++i) {
+    EXPECT_EQ(r.block_temps.back()[i], final_temps[i]) << "block " << i;
+  }
 }
 
 }  // namespace

@@ -419,6 +419,35 @@ INSTANTIATE_TEST_SUITE_P(TransientBackends, RtmBackendMatrix,
                            return info.param == ThermalBackend::Fdm ? "Fdm" : "Spectral";
                          });
 
+TEST(RtmGoldens, ThresholdRunMatchesGoldens) {
+  // Hexfloat pins of a short exact-leakage run (no table) on the spectral
+  // plant: the actuator's leakage, the plant and the policy all feed these
+  // numbers, so a change that moves any bit of the loop fails here.
+  auto setup = regulation_setup(ThermalBackend::Spectral);
+  BurstPattern pat;
+  pat.period = 8e-3;
+  pat.duty = 1.0;
+  pat.high = 1.0;
+  setup.trace = make_burst_trace(4, 12, 1e-3, pat);  // 60 epochs of 0.2 ms
+  setup.opts.record_every = 0;
+  ThresholdPolicyOptions thr_opts;
+  thr_opts.trigger_margin = 6.0;
+  thr_opts.release_margin = 14.0;
+  ThresholdPolicy policy(thr_opts);
+  Actuator actuator(tech(), setup.fp, test_ladder());
+  const auto r = run_rtm(tech(), setup.fp, setup.trace, policy, actuator, setup.opts);
+  EXPECT_EQ(r.metrics.epochs, 60);
+  EXPECT_EQ(r.metrics.interventions, 4);
+  EXPECT_EQ(r.metrics.energy, 0x1.411e8bf50feb4p-3);
+  EXPECT_EQ(r.metrics.peak_temperature, 0x1.6c35559692afap+8);
+  const std::vector<double> final_temps = {0x1.6a065dae1554dp+8, 0x1.6a066e5a15306p+8,
+                                           0x1.6a066f2f812d6p+8, 0x1.6a06859e46fb7p+8};
+  ASSERT_EQ(r.final_temps.size(), final_temps.size());
+  for (std::size_t i = 0; i < final_temps.size(); ++i) {
+    EXPECT_EQ(r.final_temps[i], final_temps[i]) << "block " << i;
+  }
+}
+
 TEST(RunRtm, ValidatesItsContracts) {
   const auto fp = quad_plan(8.0);
   NoopPolicy noop;
