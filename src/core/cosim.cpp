@@ -45,6 +45,38 @@ double boundary_fold_resistance(const CosimOptions& opts) {
   return r;
 }
 
+bool dense_influence_pays(std::size_t n, std::size_t modes, std::size_t scenarios) noexcept {
+  // Counted costs, in multiply-adds, for n blocks and `modes` cosine modes:
+  //  * dense build (spectral_influence_columns): the n x modes basis table,
+  //    then per column a coefficient accumulation (~modes) and an
+  //    n x modes basis multiply: ~ n * modes * (n + 2);
+  //  * matrix-free vector apply (apply_influence): projection plus
+  //    synthesis, ~ 2 * n * modes;
+  //  * dense vector apply: n^2.
+  // Each is weighted by its measured cost per counted op [ns]. Scratch
+  // timings on a 4-vCPU Xeon guest (GCC 12, Release), n = 9, 36, 144, 1024
+  // at 32^2 and 64^2 modes, 64-vector batched applies, three CPUs:
+  //  * build 0.75-1.25 ns (the top end at n = 1024, 64^2 modes, where the
+  //    basis table leaves the cache);
+  //  * matrix-free apply 0.27-0.56 ns (vectorized over samples and modes);
+  //  * dense apply 0.37-0.72 ns (a serial dot product per row; the top end
+  //    at n = 1024, where the matrix leaves the cache).
+  // The measured crossovers (build time over the per-vector saving) were
+  // 10-14 scenarios at n = 9, 35-53 at n = 36, 126-233 at n = 144, 2610-3171
+  // at n = 1024 with 64^2 modes, and never at n = 1024 with 32^2 modes. The
+  // weights below take each range's end that favours matrix-free, so the
+  // rule's crossover lies above every measured one: about 27, 93-96,
+  // 370-437 and 3800 scenarios, and never once n >= 0.72 * modes.
+  constexpr double kBuildNs = 1.3;
+  constexpr double kMatrixFreeNs = 0.27;
+  constexpr double kDenseNs = 0.75;
+  const double nd = static_cast<double>(n);
+  const double md = static_cast<double>(modes);
+  const double build = kBuildNs * nd * md * (nd + 2.0);
+  const double saved_per_apply = kMatrixFreeNs * 2.0 * nd * md - kDenseNs * nd * nd;
+  return saved_per_apply > 0.0 && static_cast<double>(scenarios) * saved_per_apply > build;
+}
+
 void validate(const CosimOptions& opts) {
   validate_picard("CosimOptions", opts.damping, opts.tol, opts.max_iterations,
                   opts.runaway_rise_limit);
@@ -72,16 +104,19 @@ ElectroThermalSolver::ElectroThermalSolver(device::Technology tech, floorplan::F
 }
 
 void ElectroThermalSolver::build_influence() {
-  TELEMETRY_SPAN("cosim/build_influence");
   // Every backend is linear in the injected power, so the influence operator
   // captures it exactly: R[i][j] = rise at block i per watt in block j. The
   // Picard loop only needs R *applied*, so matrix-free-capable backends
-  // (spectral) serve the seam directly; dense construction is batched per
-  // column by the backend (thermal/backend.hpp).
+  // (spectral) serve the seam directly unless the Auto cost model says a
+  // solve of one scenario amortizes the dense build (it never does); dense
+  // construction is batched per column by the backend (thermal/backend.hpp).
+  const auto modes = static_cast<std::size_t>(backend_->cost_stats().modes);
   const bool want_matrix_free =
       opts_.influence == InfluenceMode::MatrixFree ||
-      (opts_.influence == InfluenceMode::Auto && backend_->supports_matrix_free_influence());
+      (opts_.influence == InfluenceMode::Auto && backend_->supports_matrix_free_influence() &&
+       !dense_influence_pays(fp_.blocks().size(), modes, 1));
   if (want_matrix_free) {
+    TELEMETRY_SPAN("cosim/build_influence");
     // Forced MatrixFree on a dense-only backend throws here, naming it.
     matrix_free_ = backend_->make_influence_apply(fp_.heat_sources(tech_),
                                                   block_centre_samples(fp_));
@@ -91,6 +126,13 @@ void ElectroThermalSolver::build_influence() {
   influence_stats_ = influence_stats_from(backend_->cost_stats());
 }
 
+bool ElectroThermalSolver::matrix_free(std::size_t scenarios) const {
+  if (matrix_free_ == nullptr) return false;
+  if (opts_.influence == InfluenceMode::MatrixFree) return true;
+  const auto modes = static_cast<std::size_t>(backend_->cost_stats().modes);
+  return !dense_influence_pays(fp_.blocks().size(), modes, scenarios);
+}
+
 const thermal::InfluenceApply& ElectroThermalSolver::influence_apply() const noexcept {
   return matrix_free_ ? static_cast<const thermal::InfluenceApply&>(*matrix_free_)
                       : *influence_;
@@ -98,8 +140,9 @@ const thermal::InfluenceApply& ElectroThermalSolver::influence_apply() const noe
 
 const InfluenceOperator& ElectroThermalSolver::influence_matrix() const {
   if (!influence_) {
-    // Built eagerly in Dense mode, lazily for diagnostics consumers in
-    // matrix-free mode. The boundary resistance (r_package + stack RC
+    TELEMETRY_SPAN("cosim/build_influence");
+    // Built eagerly in Dense mode, lazily in matrix-free mode (for
+    // diagnostics consumers, and for a batch that resolves dense). The boundary resistance (r_package + stack RC
     // network) couples every pair uniformly: each watt anywhere raises the
     // whole die by it. Matrix-free mode has no matrix to shift — the Picard
     // kernel folds the same term in, through the same helper.
@@ -124,13 +167,16 @@ void ElectroThermalSolver::set_leakage_adjust(std::vector<LeakageAdjust> adjust)
   adjust_ = std::move(adjust);
 }
 
-PicardShared ElectroThermalSolver::picard_shared() const noexcept {
+PicardShared ElectroThermalSolver::picard_shared(std::size_t scenarios) const {
   // In matrix-free mode the uniform boundary term fold * sum(P) cannot live
   // inside the operator (there is no matrix to add_uniform); the kernel
   // folds it in per iteration. Dense mode carries it in the matrix — both
   // through boundary_fold_resistance, so the modes cannot diverge.
-  const double fold = matrix_free_ ? boundary_fold_resistance(opts_) : 0.0;
-  return {influence_apply(), fold, compiled_leakage_, fp_.blocks(), fp_.die().t_sink, opts_};
+  if (matrix_free(scenarios)) {
+    return {*matrix_free_, boundary_fold_resistance(opts_), compiled_leakage_, fp_.blocks(),
+            fp_.die().t_sink, opts_};
+  }
+  return {influence_matrix(), 0.0, compiled_leakage_, fp_.blocks(), fp_.die().t_sink, opts_};
 }
 
 CosimResult ElectroThermalSolver::solve() {

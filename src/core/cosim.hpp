@@ -17,6 +17,7 @@
 // (core/scenario_batch.hpp) feeds it chunks of many.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -37,14 +38,28 @@ namespace ptherm::core {
 enum class ThermalBackend { Analytic, Fdm, Spectral };
 
 /// How the Picard fixed point applies the influence operator.
-///  * Auto: matrix-free when the backend supports it (spectral), dense
-///    otherwise — the right default at every scale.
+///  * Auto: dense on dense-only backends. On a matrix-free-capable backend
+///    (spectral) the dense_influence_pays cost model decides from the block
+///    count, the mode count and the number of scenarios solved together: a
+///    standalone solve (one scenario) always runs matrix-free, and a
+///    ScenarioBatch large enough to amortize the dense build builds it once
+///    and iterates on it.
 ///  * Dense: force the n x n matrix build even on a matrix-free-capable
 ///    backend (the equivalence reference; also what influence_matrix()
 ///    consumers get without a lazy rebuild).
-///  * MatrixFree: require the matrix-free path; throws
+///  * MatrixFree: require the matrix-free path at every batch size; throws
 ///    ptherm::PreconditionError at construction if the backend has none.
 enum class InfluenceMode { Auto, Dense, MatrixFree };
+
+/// The InfluenceMode::Auto cost model: whether building the dense n x n
+/// influence matrix of a backend carrying `modes` cosine modes, then
+/// applying it, is cheaper than applying the matrix-free mode-space operator
+/// throughout a solve of `scenarios` scenarios (each issues at least one
+/// vector apply). False whenever n >= 2 * modes (so always for modes == 0),
+/// for a single scenario at every n, and for no scenarios. The counted
+/// costs and the measured constants are in the definition (core/cosim.cpp).
+[[nodiscard]] bool dense_influence_pays(std::size_t n, std::size_t modes,
+                                        std::size_t scenarios) noexcept;
 
 struct CosimOptions {
   ThermalBackend backend = ThermalBackend::Analytic;
@@ -229,19 +244,27 @@ class ElectroThermalSolver {
   /// folds it in as boundary_fold_resistance(opts) * sum(P).
   [[nodiscard]] const thermal::InfluenceApply& influence_apply() const noexcept;
 
-  /// The shared inputs solve_picard_chunk needs, borrowed from this solver:
-  /// how ScenarioBatch runs its chunks against this precompute.
-  [[nodiscard]] PicardShared picard_shared() const noexcept;
+  /// The shared inputs solve_picard_chunk needs for a solve of `scenarios`
+  /// scenarios, borrowed from this solver: how ScenarioBatch runs its chunks
+  /// against this precompute. The operator is the one matrix_free(scenarios)
+  /// names; when Auto resolves dense on a matrix-free solver it is
+  /// influence_matrix() (built on first use, then cached) with fold 0 —
+  /// exactly what InfluenceMode::Dense iterates on.
+  [[nodiscard]] PicardShared picard_shared(std::size_t scenarios = 1) const;
 
-  /// Whether solve() runs matrix-free (no dense matrix was built).
-  [[nodiscard]] bool matrix_free() const noexcept { return matrix_free_ != nullptr; }
+  /// Whether a solve of `scenarios` scenarios runs matrix-free: the resolved
+  /// mode (a forced mode, or the dense_influence_pays rule under Auto).
+  /// solve() is the solve of one scenario.
+  [[nodiscard]] bool matrix_free(std::size_t scenarios = 1) const;
 
   /// Thermal influence operator R[i][j] = rise at block i's centre per watt
   /// in block j [K/W] including r_package, as realised by the configured
   /// backend. Exposed because the runaway criterion (spectral condition
   /// R * dP/dT < 1) is an ablation bench.
-  /// In matrix-free mode the dense matrix is realised lazily on first call —
-  /// an O(n^2) diagnostic escape hatch the solve itself never pays.
+  /// In matrix-free mode the dense matrix is realised lazily on first call
+  /// (under the cosim/build_influence span, like an eager build) — a
+  /// diagnostic escape hatch, and the operator of a batch that resolves
+  /// dense (picard_shared); a standalone solve never pays it.
   [[nodiscard]] const InfluenceOperator& influence_matrix() const;
 
   /// Cost counters from the influence build (FDM CG iterations, spectral

@@ -153,6 +153,9 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all() {
   TELEMETRY_SPAN("batch/solve_all");
   const std::size_t n = block_count();
   std::vector<ScenarioResult> results(size());
+  // The operator for the whole queue: under Auto, the dense matrix when the
+  // queued scenarios amortize its build (built on first use, then cached).
+  const PicardShared shared = solver_.picard_shared(size());
   // Each chunk goes through the shared Picard kernel, then the batch
   // bookkeeping: diagnostics name the scenario, and the counters record the
   // sweeps issued and the scenario-iterations the masks saved.
@@ -168,7 +171,7 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all() {
     };
     const ScenarioChunk chunk{rows(powers_), rows(adj_scale_), rows(adj_dvt0_), techs};
     const std::span<ScenarioResult> out(results.data() + begin, count);
-    const long long sweeps = solve_picard_chunk(solver_.picard_shared(), chunk, out, &trace_);
+    const long long sweeps = solve_picard_chunk(shared, chunk, out, &trace_);
 
     long long iterations_sum = 0;
     for (std::size_t s = 0; s < count; ++s) {

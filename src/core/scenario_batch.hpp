@@ -20,12 +20,21 @@
 //    scratch, order-independent results — shaped so a future thread pool
 //    can take it without touching the engine.
 //
+//  * Under InfluenceMode::Auto on a matrix-free-capable backend, solve_all
+//    asks the dense_influence_pays cost model (core/cosim.hpp) whether the
+//    queued scenarios amortize the dense n x n build. If they do, it builds
+//    the matrix once (cached across solve_all calls) and iterates on it,
+//    exactly as InfluenceMode::Dense would; otherwise it stays in mode
+//    space. matrix_free() reports the choice for the scenarios queued now.
+//
 // Determinism contract: the blocking only reorders work across scenarios,
-// never within one, so results are bitwise invariant to chunk size and batch
-// composition — and a standalone solve of a scenario (same options, level
-// technology, powers, and adjustments) reproduces it bitwise. Monte Carlo
-// scenarios draw from decorrelated per-sample streams (Rng::stream). The
-// chunk-size-invariance tests and the hexfloat goldens of
+// never within one, so results are bitwise invariant to chunk size, and to
+// batch composition among batches that resolve to the same operator. A
+// standalone solve of a scenario (same options with the batch's resolved
+// influence mode, level technology, powers, and adjustments) reproduces it
+// bitwise; the dense and the matrix-free operator agree to rounding, not
+// bitwise. Monte Carlo scenarios draw from decorrelated per-sample streams
+// (Rng::stream). The chunk-size-invariance tests and the hexfloat goldens of
 // tests/test_picard_goldens.cpp pin it.
 #pragma once
 
@@ -79,7 +88,9 @@ class ScenarioBatch {
   [[nodiscard]] std::size_t block_count() const noexcept { return nominal_powers_.size(); }
   /// Scenarios queued so far.
   [[nodiscard]] std::size_t size() const noexcept { return level_index_.size(); }
-  [[nodiscard]] bool matrix_free() const noexcept { return solver_.matrix_free(); }
+  /// Whether solve_all runs the scenarios queued now matrix-free (see the
+  /// header comment: under Auto a large enough batch resolves dense).
+  [[nodiscard]] bool matrix_free() const { return solver_.matrix_free(size()); }
 
   // --- V/f levels ---------------------------------------------------------
   // Level 0 is the construction technology at its nominal supply and

@@ -211,6 +211,46 @@ TEST(Cosim, PackageResistanceRaisesEveryBlockUniformly) {
   EXPECT_GT(rb.total_leakage, ra.total_leakage);  // hotter die leaks more
 }
 
+/// Smallest scenario count for which the Auto rule goes dense (0: never,
+/// up to `limit`).
+std::size_t dense_crossover(std::size_t n, std::size_t modes, std::size_t limit) {
+  for (std::size_t s = 1; s <= limit; ++s) {
+    if (dense_influence_pays(n, modes, s)) return s;
+  }
+  return 0;
+}
+
+TEST(InfluenceCostModel, CrossoverSitsAboveTheMeasuredOnes) {
+  // At and around the crossover: one scenario less stays matrix-free.
+  EXPECT_FALSE(dense_influence_pays(9, 4096, 26));
+  EXPECT_TRUE(dense_influence_pays(9, 4096, 27));
+  EXPECT_FALSE(dense_influence_pays(36, 1024, 96));
+  EXPECT_TRUE(dense_influence_pays(36, 1024, 97));
+  // Rounded toward matrix-free: above the crossovers measured when the
+  // rule was calibrated (14, 53, 233 and 3171 scenarios at most).
+  EXPECT_GT(dense_crossover(9, 1024, 10000), 14u);
+  EXPECT_GT(dense_crossover(36, 4096, 10000), 53u);
+  EXPECT_GT(dense_crossover(144, 1024, 10000), 233u);
+  EXPECT_GT(dense_crossover(1024, 4096, 10000), 3171u);
+  // A 10^4-sample study on 36 blocks at 32 x 32 modes goes dense.
+  EXPECT_TRUE(dense_influence_pays(36, 1024, 10000));
+}
+
+TEST(InfluenceCostModel, NeverDenseForOneScenarioOrLargePlans) {
+  for (const std::size_t modes : {0u, 1u, 16u, 1024u, 4096u}) {
+    for (std::size_t n = 1; n <= 8192; n = n < 64 ? n + 1 : n * 2) {
+      EXPECT_FALSE(dense_influence_pays(n, modes, 0)) << n << " blocks, " << modes;
+      EXPECT_FALSE(dense_influence_pays(n, modes, 1)) << n << " blocks, " << modes;
+      if (n >= 2 * modes) {
+        EXPECT_FALSE(dense_influence_pays(n, modes, std::size_t{1} << 40))
+            << n << " blocks, " << modes << " modes";
+      }
+    }
+  }
+  // A dense apply no cheaper than the mode-space one never pays back.
+  EXPECT_EQ(dense_crossover(1024, 1024, 1000000), 0u);
+}
+
 TEST(Cosim, BoundaryFoldResistanceSumsPackageAndStackNetwork) {
   CosimOptions opts;
   EXPECT_DOUBLE_EQ(boundary_fold_resistance(opts), 0.0);

@@ -156,51 +156,105 @@ TEST(PicardGoldens, AnalyticManycoreRunaway) {
   EXPECT_EQ(r.diagnostics->worst, "core_0_2");
 }
 
-TEST(PicardGoldens, McBatchMatchesGoldens) {
+/// One row of tests/data/picard_mc64_goldens.txt.
+struct ScenarioGolden {
+  int iterations = 0;
+  bool converged = false;
+  bool runaway = false;
+  double max_delta_last = 0.0;
+  std::vector<double> temperatures;
+};
+
+std::vector<ScenarioGolden> read_mc64_goldens() {
+  std::ifstream in(std::string(PTHERM_TEST_DATA_DIR) + "/picard_mc64_goldens.txt");
+  EXPECT_TRUE(in) << "missing golden file";
+  std::vector<ScenarioGolden> rows;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream row(line);
+    ScenarioGolden g;
+    int converged = 0;
+    int runaway = 0;
+    std::string word;
+    row >> g.iterations >> converged >> runaway >> word;
+    g.converged = converged != 0;
+    g.runaway = runaway != 0;
+    g.max_delta_last = std::strtod(word.c_str(), nullptr);
+    while (row >> word) g.temperatures.push_back(std::strtod(word.c_str(), nullptr));
+    rows.push_back(std::move(g));
+  }
+  return rows;
+}
+
+/// The 64-sample study of the batch goldens under influence mode `mode`.
+core::ScenarioBatch mc64_batch(core::InfluenceMode mode) {
   // Leakage-heavy plan near its runaway edge: the VT0 draws spread the
   // iteration counts from 11 to the 40-iteration cap, and two samples run
   // away, so the convergence masks and every verdict are exercised.
   CosimOptions opts;
   opts.backend = ThermalBackend::Spectral;
+  opts.influence = mode;
   opts.r_package = 2.0;
   opts.max_iterations = 40;
   core::ScenarioBatch batch(tech(), small_plan(4e8), opts);
   batch.add_variation_samples(device::VariationModel{0.03}, 64, /*base_seed=*/7);
+  return batch;
+}
+
+TEST(PicardGoldens, McBatchMatchesGoldens) {
+  // The mode-space kernel, pinned: at 64 scenarios on 9 blocks Auto would
+  // resolve dense (see McBatchUnderAutoMatchesMatrixFreeGoldens).
+  core::ScenarioBatch batch = mc64_batch(core::InfluenceMode::MatrixFree);
   ASSERT_TRUE(batch.matrix_free());
   const auto results = batch.solve_all();
 
-  std::ifstream in(std::string(PTHERM_TEST_DATA_DIR) + "/picard_mc64_goldens.txt");
-  ASSERT_TRUE(in) << "missing golden file";
-  std::size_t k = 0;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] == '#') continue;
-    ASSERT_LT(k, results.size());
+  const auto goldens = read_mc64_goldens();
+  ASSERT_EQ(goldens.size(), results.size());
+  for (std::size_t k = 0; k < goldens.size(); ++k) {
     const core::ScenarioResult& r = results[k];
-    std::istringstream row(line);
-    int iterations = 0;
-    int converged = 0;
-    int runaway = 0;
-    std::string word;
-    row >> iterations >> converged >> runaway >> word;
-    EXPECT_EQ(r.iterations, iterations) << "scenario " << k;
-    EXPECT_EQ(r.converged, converged != 0) << "scenario " << k;
-    EXPECT_EQ(r.runaway, runaway != 0) << "scenario " << k;
-    EXPECT_EQ(r.max_delta_last, std::strtod(word.c_str(), nullptr)) << "scenario " << k;
-    std::size_t i = 0;
-    for (; row >> word; ++i) {
-      ASSERT_LT(i, r.temperatures.size()) << "scenario " << k;
-      EXPECT_EQ(r.temperatures[i], std::strtod(word.c_str(), nullptr))
-          << "scenario " << k << " block " << i;
+    const ScenarioGolden& g = goldens[k];
+    EXPECT_EQ(r.iterations, g.iterations) << "scenario " << k;
+    EXPECT_EQ(r.converged, g.converged) << "scenario " << k;
+    EXPECT_EQ(r.runaway, g.runaway) << "scenario " << k;
+    EXPECT_EQ(r.max_delta_last, g.max_delta_last) << "scenario " << k;
+    ASSERT_EQ(r.temperatures.size(), g.temperatures.size()) << "scenario " << k;
+    for (std::size_t i = 0; i < g.temperatures.size(); ++i) {
+      EXPECT_EQ(r.temperatures[i], g.temperatures[i]) << "scenario " << k << " block " << i;
     }
-    EXPECT_EQ(i, r.temperatures.size()) << "scenario " << k;
-    ++k;
   }
-  EXPECT_EQ(k, results.size());
   ASSERT_TRUE(results[28].diagnostics.has_value());
   EXPECT_EQ(results[28].diagnostics->solver, "ScenarioBatch");
   EXPECT_EQ(results[28].diagnostics->stage, "scenario 28: runaway");
   ASSERT_TRUE(results[57].diagnostics.has_value());
   EXPECT_EQ(results[57].diagnostics->stage, "scenario 57: max-iterations");
+}
+
+TEST(PicardGoldens, McBatchUnderAutoMatchesMatrixFreeGoldens) {
+  // The same study under Auto iterates on the dense matrix (64 scenarios
+  // amortize a 9 x 9 build); the two operators agree to rounding, so every
+  // verdict and iteration count is the mode-space one and every temperature
+  // is within 1e-9 K of it. The two runaway samples exit near 5000 K after
+  // a diverging iteration that amplifies the rounding difference, so there
+  // the bound is relative (1e-12; measured 4.7e-13).
+  core::ScenarioBatch batch = mc64_batch(core::InfluenceMode::Auto);
+  ASSERT_FALSE(batch.matrix_free());
+  const auto results = batch.solve_all();
+
+  const auto goldens = read_mc64_goldens();
+  ASSERT_EQ(goldens.size(), results.size());
+  for (std::size_t k = 0; k < goldens.size(); ++k) {
+    const core::ScenarioResult& r = results[k];
+    const ScenarioGolden& g = goldens[k];
+    EXPECT_EQ(r.iterations, g.iterations) << "scenario " << k;
+    EXPECT_EQ(r.converged, g.converged) << "scenario " << k;
+    EXPECT_EQ(r.runaway, g.runaway) << "scenario " << k;
+    ASSERT_EQ(r.temperatures.size(), g.temperatures.size()) << "scenario " << k;
+    for (std::size_t i = 0; i < g.temperatures.size(); ++i) {
+      const double tol = g.runaway ? 1e-12 * g.temperatures[i] : 1e-9;
+      EXPECT_NEAR(r.temperatures[i], g.temperatures[i], tol)
+          << "scenario " << k << " block " << i;
+    }
+  }
 }
 
 spice::Circuit wide_device_circuit() {

@@ -209,11 +209,90 @@ TEST(ScenarioBatch, DenseAndMatrixFreeAgreeWithPackageResistance) {
   }
 }
 
+/// Spectral Auto options with r_package > 0, optionally closed by an
+/// RC-network stack: the boundary fold moves into the matrix when a batch
+/// resolves dense.
+CosimOptions auto_spectral(bool rc_stack) {
+  CosimOptions opts;
+  opts.backend = ThermalBackend::Spectral;
+  opts.r_package = 0.4;
+  if (rc_stack) {
+    thermal::BoundarySpec rc;
+    rc.kind = thermal::BoundaryKind::RcNetwork;
+    rc.rc.emplace(std::vector<thermal::ThermalRc>{{0.5, 0.1}, {0.3, 2.0}});
+    opts.stack = thermal::DieStack(
+        {{"die", die_1mm().thickness, die_1mm().k_si, die_1mm().cv_si}}, rc);
+  }
+  return opts;
+}
+
+TEST(ScenarioBatch, AutoAboveTheCrossoverIteratesOnTheDenseOperator) {
+  // 64 samples on 9 blocks at 64 x 64 modes amortize the dense build (the
+  // rule's crossover there is 27): each scenario then reproduces a
+  // standalone InfluenceMode::Dense solve bitwise.
+  for (const bool rc_stack : {false, true}) {
+    const CosimOptions opts = auto_spectral(rc_stack);
+    ScenarioBatch batch(tech(), small_plan(), opts);
+    batch.add_variation_samples(VariationModel{0.03}, 64, /*base_seed=*/5);
+    ASSERT_FALSE(batch.matrix_free()) << "rc_stack " << rc_stack;
+    // The dense matrix is built lazily by the first solve_all, then cached.
+    EXPECT_EQ(batch.cost_stats().influence_columns, 0);
+    const auto results = batch.solve_all();
+    EXPECT_EQ(batch.cost_stats().influence_columns,
+              static_cast<long long>(batch.block_count()));
+    (void)batch.solve_all();
+    EXPECT_EQ(batch.cost_stats().influence_columns,
+              static_cast<long long>(batch.block_count()));
+
+    CosimOptions dense = opts;
+    dense.influence = InfluenceMode::Dense;
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      expect_bitwise_equal(results[k], reference_solve(batch, k, small_plan(), dense), k);
+    }
+  }
+}
+
+TEST(ScenarioBatch, AutoBelowTheCrossoverMatchesStandaloneAutoSolves) {
+  // Nine scenarios do not pay for the dense build: the batch stays in mode
+  // space and reproduces standalone Auto (matrix-free) solves bitwise.
+  for (const bool rc_stack : {false, true}) {
+    const CosimOptions opts = auto_spectral(rc_stack);
+    auto batch = mixed_batch(opts);
+    ASSERT_TRUE(batch.matrix_free()) << "rc_stack " << rc_stack;
+    const auto results = batch.solve_all();
+    EXPECT_EQ(batch.cost_stats().influence_columns, 0);
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      expect_bitwise_equal(results[k], reference_solve(batch, k, small_plan(), opts), k);
+    }
+  }
+}
+
+TEST(ScenarioBatch, AutoResolvesForTheScenariosQueuedNow) {
+  // The choice follows the queue: a batch grown past the crossover switches
+  // to the dense operator, and forced modes never switch.
+  CosimOptions opts;
+  opts.backend = ThermalBackend::Spectral;
+  ScenarioBatch batch(tech(), small_plan(), opts);
+  EXPECT_TRUE(batch.matrix_free());
+  batch.add_variation_samples(VariationModel{0.03}, 26, /*base_seed=*/3);
+  EXPECT_TRUE(batch.matrix_free());
+  batch.add_nominal();
+  EXPECT_FALSE(batch.matrix_free());
+
+  opts.influence = InfluenceMode::MatrixFree;
+  ScenarioBatch forced(tech(), small_plan(), opts);
+  forced.add_variation_samples(VariationModel{0.03}, 1000, /*base_seed=*/3);
+  EXPECT_TRUE(forced.matrix_free());
+}
+
 TEST(ScenarioBatch, VariationDrawsAreBatchSizeIndependent) {
   // Queueing more Monte Carlo samples must never change the earlier ones:
   // sample s draws from Rng::stream(base_seed, s) regardless of batch size.
+  // Both batches pinned to the mode-space operator: the subject is the RNG
+  // streams, and under Auto 3 and 24 samples need not resolve alike.
   CosimOptions opts;
   opts.backend = ThermalBackend::Spectral;
+  opts.influence = InfluenceMode::MatrixFree;
   ScenarioBatch small(tech(), small_plan(), opts);
   ScenarioBatch large(tech(), small_plan(), opts);
   small.add_variation_samples(VariationModel{0.03}, 3, /*base_seed=*/11);

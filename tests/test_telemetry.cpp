@@ -547,6 +547,40 @@ TEST(BatchTrace, PerScenarioResidualsMatchStandaloneAndSweepTraceFills) {
   EXPECT_TRUE(a.trace().active_per_sweep.empty());
 }
 
+TEST(BatchTrace, LazyDenseBuildRunsUnderTheBuildInfluenceSpan) {
+  // A spectral Auto batch above the crossover builds its dense operator in
+  // the first solve_all: one cosim/build_influence span inside
+  // batch/solve_all, none in later calls (the matrix is cached).
+  core::CosimOptions opts;
+  opts.backend = core::ThermalBackend::Spectral;
+  core::ScenarioBatch batch(tech(), small_plan(), opts);
+  batch.add_variation_samples(device::VariationModel{0.03}, 64, /*base_seed=*/42);
+  ASSERT_FALSE(batch.matrix_free());
+  const auto builds = [](const std::vector<telemetry::SpanEvent>& events) {
+    return std::count_if(events.begin(), events.end(), [](const telemetry::SpanEvent& e) {
+      return std::string_view(e.name) == "cosim/build_influence";
+    });
+  };
+  {
+    ScopedTracer scoped;
+    (void)batch.solve_all();
+    const auto events = scoped.tracer().events();
+    ASSERT_EQ(builds(events), 1);
+    const auto build = std::find_if(events.begin(), events.end(), [](const auto& e) {
+      return std::string_view(e.name) == "cosim/build_influence";
+    });
+    const auto solve = std::find_if(events.begin(), events.end(), [](const auto& e) {
+      return std::string_view(e.name) == "batch/solve_all";
+    });
+    ASSERT_NE(solve, events.end());
+    EXPECT_GE(build->start_ns, solve->start_ns);
+    EXPECT_LE(build->start_ns + build->duration_ns, solve->start_ns + solve->duration_ns);
+  }
+  ScopedTracer scoped;
+  (void)batch.solve_all();
+  EXPECT_EQ(builds(scoped.tracer().events()), 0);
+}
+
 // ---------------------------------------------- convergence traces: SPICE
 
 spice::Circuit make_inverter(const Technology& t, double vin) {
