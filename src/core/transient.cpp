@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
+#include "floorplan/compiled_leakage.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ptherm::core {
@@ -32,6 +34,8 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
                                            const TransientCosimOptions& opts) {
   PTHERM_REQUIRE(static_cast<bool>(activity), "transient cosim: null activity profile");
   const auto& blocks = fp.blocks();
+  // Compiled once, bitwise equal to Block::leakage_power.
+  const std::vector<floorplan::CompiledBlockLeakage> leakage(blocks.begin(), blocks.end());
   // The original per-step coupling, expressed as the epoch hook: dynamic
   // power from the activity profile, leakage from each block's temperature
   // at the epoch boundary. Synchronous call — the references cannot dangle.
@@ -39,7 +43,7 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
                                    std::span<double> p_dyn, std::span<double> p_leak) {
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       p_dyn[i] = blocks[i].p_dynamic * activity(i, t);
-      p_leak[i] = blocks[i].leakage_power(tech, temps[i], opts.vb);
+      p_leak[i] = leakage[i].leakage_power(tech, temps[i], opts.vb);
     }
   };
   return solve_transient_cosim(tech, fp, hook, opts);

@@ -62,7 +62,8 @@ Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder la
       fp_(std::move(fp)),
       ladder_(std::move(ladder)),
       opts_(opts),
-      levels_(fp_.blocks().size(), 0) {
+      levels_(fp_.blocks().size(), 0),
+      leakage_(fp_.blocks().begin(), fp_.blocks().end()) {
   PTHERM_REQUIRE(!fp_.blocks().empty(), "Actuator: empty floorplan");
   const int nl = ladder_.level_count();
   scales_.resize(nl);
@@ -135,8 +136,7 @@ double Actuator::dynamic_power(std::size_t block, double activity) const {
 }
 
 double Actuator::leakage_exact(std::size_t block, int lvl, double temp, double vb) const {
-  return fp_.blocks()[block].leakage_power(level_tech_[static_cast<std::size_t>(lvl)], temp,
-                                           vb);
+  return leakage_[block].leakage_power(level_tech_[static_cast<std::size_t>(lvl)], temp, vb);
 }
 
 double Actuator::leakage_power(std::size_t block, double temp, double vb) const {

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "floorplan/compiled_leakage.hpp"
 #include "floorplan/floorplan.hpp"
 
 namespace ptherm::rtm {
@@ -45,7 +46,9 @@ class VfLadder {
 };
 
 struct ActuatorOptions {
-  /// 0 evaluates leakage exactly through leakage/ on every query. A positive
+  /// 0 evaluates leakage exactly on every query, through each block's
+  /// compiled program (floorplan/compiled_leakage.hpp: bitwise the leakage/
+  /// walk of Block::leakage_power, allocation-free). A positive
   /// count instead samples each (block, level) leakage-vs-temperature curve
   /// once at construction and interpolates linearly between samples — the
   /// long-trace speed lever (the curve is smooth and exponential-like, so a
@@ -101,6 +104,9 @@ class Actuator {
   std::vector<double> scales_;               ///< per level, (V/V0)^2 (f/f0)
   std::vector<double> speeds_;               ///< per level, f/f0
   std::vector<device::Technology> level_tech_;  ///< tech with vdd = level voltage
+  /// Compiled leakage programs, one per block: tech-independent, so one
+  /// serves every level, bitwise equal to Block::leakage_power.
+  std::vector<floorplan::CompiledBlockLeakage> leakage_;
   /// Linear leakage tables, [block][level][point]; empty when exact.
   std::vector<double> table_;
   double table_dt_ = 0.0;

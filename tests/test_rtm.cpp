@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
+#include "device/tech.hpp"
 #include "floorplan/generators.hpp"
 #include "rtm/actuator.hpp"
 #include "rtm/policy.hpp"
@@ -154,6 +155,29 @@ TEST(Actuator, LeakageDropsWithSupplyVoltageAndGrowsWithTemperature) {
   EXPECT_LT(throttled, 0.8 * nominal);
   // And leakage is exponential-ish in temperature at any level.
   EXPECT_GT(actuator.leakage_power(0, hot), 2.0 * actuator.leakage_power(0, 340.0));
+}
+
+TEST(Actuator, ExactLeakageIsBitwiseTheBlockWalkAtTheLevelSupply) {
+  // The exact path evaluates compiled per-block programs; they must equal
+  // Block::leakage_power under the level's DIBL-consistent technology
+  // bitwise, for every block and level, over a temperature sweep and with
+  // and without body bias.
+  const auto fp = quad_plan(8.0);
+  const VfLadder ladder = test_ladder();
+  Actuator actuator(tech(), fp, ladder);
+  for (int lvl = 0; lvl < ladder.level_count(); ++lvl) {
+    const device::Technology level_tech = device::at_supply(tech(), ladder.at(lvl).voltage);
+    for (std::size_t b = 0; b < actuator.block_count(); ++b) {
+      actuator.set_level(b, lvl);
+      for (double temp = 250.0; temp <= 450.0; temp += 7.25) {
+        for (const double vb : {0.0, -0.2}) {
+          EXPECT_EQ(actuator.leakage_power(b, temp, vb),
+                    fp.blocks()[b].leakage_power(level_tech, temp, vb))
+              << "block " << b << " level " << lvl << " T " << temp << " vb " << vb;
+        }
+      }
+    }
+  }
 }
 
 TEST(Actuator, LeakageTableTracksTheExactEvaluation) {
