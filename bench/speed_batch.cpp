@@ -6,6 +6,10 @@
 //    sweeps — the headline is us_per_scenario, the amortized cost of one
 //    full electro-thermal solve (construction included, spread over the
 //    batch). The PR-8 acceptance bar is <= 100 us/sample.
+//  * BM_ScenarioBatchVariationAuto: the same study under the default
+//    InfluenceMode::Auto, whose cost model resolves a batch this size to the
+//    dense operator (built once inside solve_all); the `dense` counter
+//    records the resolved choice.
 //  * BM_ScenarioBatchCorners: a V/f corner screen (5 supplies x 4 relative
 //    frequencies) on the same plan, per backend influence mode.
 // The batch counters pin the trajectory: scenarios, batched_matvecs (blocked
@@ -72,7 +76,7 @@ void record_batch(benchmark::State& state, const core::ScenarioBatch& batch,
   state.counters["converged_fraction"] = converged / static_cast<double>(results.size());
 }
 
-void BM_ScenarioBatchVariation(benchmark::State& state) {
+void run_variation(benchmark::State& state, const core::CosimOptions& opts) {
   const int samples = static_cast<int>(state.range(0));
   const auto fp = plan_36();
   const device::VariationModel var{0.03};
@@ -80,12 +84,13 @@ void BM_ScenarioBatchVariation(benchmark::State& state) {
   for (auto _ : state) {
     // Construction is inside the timed region on purpose: us_per_scenario is
     // the honest amortized cost including the shared precompute.
-    core::ScenarioBatch batch(device::Technology::cmos012(), fp, batch_opts());
+    core::ScenarioBatch batch(device::Technology::cmos012(), fp, opts);
     batch.add_variation_samples(var, samples, /*base_seed=*/2718);
     results = batch.solve_all();
     benchmark::DoNotOptimize(results);
     state.PauseTiming();
     record_batch(state, batch, results);
+    state.counters["dense"] = batch.matrix_free() ? 0.0 : 1.0;
     state.ResumeTiming();
   }
   state.counters["samples"] = static_cast<double>(samples);
@@ -93,7 +98,19 @@ void BM_ScenarioBatchVariation(benchmark::State& state) {
   // acceptance bar (<= 100 us/sample at 10k) reads as >= 10000 items/s.
   state.SetItemsProcessed(state.iterations() * samples);
 }
+
+void BM_ScenarioBatchVariation(benchmark::State& state) { run_variation(state, batch_opts()); }
 BENCHMARK(BM_ScenarioBatchVariation)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ScenarioBatchVariationAuto(benchmark::State& state) {
+  core::CosimOptions opts = batch_opts();
+  opts.influence = core::InfluenceMode::Auto;
+  run_variation(state, opts);
+}
+BENCHMARK(BM_ScenarioBatchVariationAuto)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
