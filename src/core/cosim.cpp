@@ -142,9 +142,9 @@ const InfluenceOperator& ElectroThermalSolver::influence_matrix() const {
   if (!influence_) {
     TELEMETRY_SPAN("cosim/build_influence");
     // Built eagerly in Dense mode, lazily in matrix-free mode (for
-    // diagnostics consumers, and for a batch that resolves dense). The boundary resistance (r_package + stack RC
-    // network) couples every pair uniformly: each watt anywhere raises the
-    // whole die by it. Matrix-free mode has no matrix to shift — the Picard
+    // diagnostics consumers, and for a batch that resolves dense). The
+    // boundary resistance (r_package + stack RC network) couples every pair
+    // uniformly: each watt anywhere raises the whole die by it. Matrix-free mode has no matrix to shift — the Picard
     // kernel folds the same term in, through the same helper.
     InfluenceOperator dense(
         backend_->build_influence(fp_.heat_sources(tech_), block_centre_samples(fp_)));
