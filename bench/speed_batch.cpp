@@ -69,7 +69,7 @@ void record_batch(benchmark::State& state, const core::ScenarioBatch& batch,
       static_cast<double>(stats.picard_iterations_total);
   state.counters["masked_iterations_saved"] =
       static_cast<double>(stats.masked_iterations_saved);
-  state.counters["modes"] = static_cast<double>(batch.influence_build_stats().modes);
+  state.counters["modes"] = static_cast<double>(stats.modes);
   state.counters["blocks"] = static_cast<double>(batch.block_count());
   double converged = 0.0;
   for (const auto& r : results) converged += r.converged ? 1.0 : 0.0;

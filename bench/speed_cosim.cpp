@@ -71,7 +71,7 @@ void BM_CosimFdm(benchmark::State& state) {
   for (auto _ : state) {
     core::ElectroThermalSolver solver(device::Technology::cmos012(), fp, opts);
     last = solver.solve();
-    cg_iterations = solver.influence_build_stats().cg_iterations;
+    cg_iterations = solver.backend().cost_stats().cg_iterations;
     benchmark::DoNotOptimize(last);
   }
   record_solve(state, last);
@@ -85,11 +85,11 @@ void BM_CosimSpectral(benchmark::State& state) {
   core::CosimOptions opts;
   opts.backend = core::ThermalBackend::Spectral;
   core::CosimResult last;
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
     core::ElectroThermalSolver solver(device::Technology::cmos012(), fp, opts);
     last = solver.solve();
-    stats = solver.influence_build_stats();
+    stats = solver.backend().cost_stats();
     benchmark::DoNotOptimize(last);
   }
   record_solve(state, last);
@@ -111,10 +111,11 @@ void BM_InfluenceBuildFdm(benchmark::State& state) {
   const thermal::FdmThermalSolver solver(fp.die(), opts);
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
+    stats = {};  // the counters accumulate; report one build
     benchmark::DoNotOptimize(
-        core::build_influence_fdm(solver, sources, samples, true, &stats));
+        thermal::fdm_influence_columns(solver, sources, samples, true, &stats));
   }
   state.counters["cg_iterations"] = static_cast<double>(stats.cg_iterations);
   state.counters["blocks"] = static_cast<double>(sources.size());
@@ -130,10 +131,11 @@ void BM_InfluenceBuildFdmSeedPath(benchmark::State& state) {
   const thermal::FdmThermalSolver solver(fp.die(), opts);
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
+    stats = {};  // the counters accumulate; report one build
     benchmark::DoNotOptimize(
-        core::build_influence_fdm(solver, sources, samples, false, &stats));
+        thermal::fdm_influence_columns(solver, sources, samples, false, &stats));
   }
   state.counters["cg_iterations"] = static_cast<double>(stats.cg_iterations);
   state.counters["blocks"] = static_cast<double>(sources.size());
@@ -148,7 +150,7 @@ void BM_InfluenceBuildAnalytic(benchmark::State& state) {
   const auto samples = core::block_centre_samples(fp);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::build_influence_analytic(fp.die(), sources, samples));
+        thermal::analytic_influence_columns(fp.die(), sources, samples, {}));
   }
   state.counters["blocks"] = static_cast<double>(sources.size());
 }
@@ -161,10 +163,11 @@ void BM_InfluenceBuildSpectral(benchmark::State& state) {
   const thermal::SpectralThermalSolver solver(fp.die(), {});
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
+    stats = {};  // the counters accumulate; report one build
     benchmark::DoNotOptimize(
-        core::build_influence_spectral(solver, sources, samples, &stats));
+        thermal::spectral_influence_columns(solver, sources, samples, &stats));
   }
   state.counters["blocks"] = static_cast<double>(sources.size());
   state.counters["modes"] = static_cast<double>(stats.modes);

@@ -47,8 +47,9 @@ void record_solve(benchmark::State& state, const core::ElectroThermalSolver& sol
   state.counters["converged"] = r.converged ? 1.0 : 0.0;
   state.counters["blocks"] = static_cast<double>(r.blocks.size());
   state.counters["matrix_free"] = solver.matrix_free() ? 1.0 : 0.0;
-  state.counters["modes"] = static_cast<double>(solver.influence_build_stats().modes);
-  state.counters["fft_calls"] = static_cast<double>(solver.influence_build_stats().fft_calls);
+  const auto stats = solver.backend().cost_stats();
+  state.counters["modes"] = static_cast<double>(stats.modes);
+  state.counters["fft_calls"] = static_cast<double>(stats.fft_calls);
 }
 
 void BM_CosimManycore(benchmark::State& state) {

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto stats = batch.stats();
+  const auto stats = batch.cost_stats();
   std::cout << "  " << safe << "/" << results.size() << " corners safe; "
             << stats.batched_matvecs << " blocked sweeps for "
             << stats.picard_iterations_total << " scenario-iterations ("

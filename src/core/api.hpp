@@ -2,7 +2,7 @@
 //
 // Layering (each header is independently includable):
 //   common/    units, constants, tables, RNG, error types
-//   numerics/  roots, quadrature, dense/sparse linear algebra, ODE, interp
+//   numerics/  roots, quadrature, dense/sparse linear algebra, ODE
 //   device/    technology descriptors and the Eq. (1)/(2) MOSFET models
 //   spice/     MNA circuit solver (the "SPICE simulations" baseline)
 //   leakage/   stack collapse (Eqs. 3-13), gates, exact solver, baselines
@@ -44,7 +44,6 @@
 #include "scaling/roadmap.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
-#include "spice/export.hpp"
 #include "spice/transient.hpp"
 #include "thermal/analytic.hpp"
 #include "thermal/backend.hpp"

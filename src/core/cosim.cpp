@@ -123,7 +123,6 @@ void ElectroThermalSolver::build_influence() {
   } else {
     (void)influence_matrix();
   }
-  influence_stats_ = influence_stats_from(backend_->cost_stats());
 }
 
 bool ElectroThermalSolver::matrix_free(std::size_t scenarios) const {

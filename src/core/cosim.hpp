@@ -168,7 +168,7 @@ struct CosimResult : ScenarioResult {
 };
 
 /// Sweep-level convergence trace (CosimOptions::trace.convergence; separate
-/// from ScenarioBatchStats so the counter bag stays registry-shaped). One
+/// from the batch cost counters so those stay registry-shaped). One
 /// entry per blocked Picard sweep across all solve_all chunks, in execution
 /// order: how many scenarios were still active going into the sweep, and the
 /// worst Picard residual any of them produced in it.
@@ -267,14 +267,10 @@ class ElectroThermalSolver {
   /// dense (picard_shared); a standalone solve never pays it.
   [[nodiscard]] const InfluenceOperator& influence_matrix() const;
 
-  /// Cost counters from the influence build (FDM CG iterations, spectral
-  /// modes/FFTs), for the perf-trajectory benches.
-  [[nodiscard]] const InfluenceBuildStats& influence_build_stats() const noexcept {
-    return influence_stats_;
-  }
-
   /// The thermal backend this solver built R from — reusable for field maps
-  /// of the converged power state (see examples/hotspot_analysis.cpp).
+  /// of the converged power state (see examples/hotspot_analysis.cpp). Its
+  /// cost_stats() are the live influence-build counters (columns, FDM CG
+  /// iterations, spectral modes/FFTs), a lazy dense build included.
   [[nodiscard]] const thermal::SolverBackend& backend() const noexcept { return *backend_; }
 
   /// Compiled per-block leakage programs, one per block. ScenarioBatch
@@ -302,7 +298,6 @@ class ElectroThermalSolver {
   /// influence_matrix() in matrix-free mode (mutable: realization is a
   /// cache, not observable state).
   mutable std::optional<InfluenceOperator> influence_;
-  InfluenceBuildStats influence_stats_;
 };
 
 }  // namespace ptherm::core

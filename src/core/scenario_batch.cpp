@@ -192,9 +192,8 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all() {
 }
 
 thermal::BackendCostStats ScenarioBatch::cost_stats() const {
-  // Merge = two contributes into one registry (the batch counters land on
-  // the same backend/ names their mirror fields carry), then read the struct
-  // back through the catalog — field-complete by the catalog's static_assert
+  // Merge = two contributes into one registry, then read the struct back
+  // through the catalog — field-complete by the catalog's static_assert
   // instead of by a hand-maintained copy list.
   telemetry::Registry reg;
   telemetry::contribute(reg, solver_.backend().cost_stats());

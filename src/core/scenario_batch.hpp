@@ -66,16 +66,6 @@ void validate(const ScenarioBatchOptions& opts);
 void for_each_chunk(std::size_t count, int chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// Batch-engine counters (merged into BackendCostStats by cost_stats()).
-/// Keep this a plain bag of long long counters: telemetry/counters.cpp pins
-/// its layout with a static_assert so every field reaches the registry.
-struct ScenarioBatchStats {
-  long long scenarios = 0;                ///< scenario solves completed
-  long long batched_matvecs = 0;          ///< multi-RHS applies issued
-  long long picard_iterations_total = 0;  ///< sum of per-scenario iterations
-  long long masked_iterations_saved = 0;  ///< scenario-iterations masks avoided
-};
-
 class ScenarioBatch {
  public:
   /// Builds the shared geometry precompute: any backend, dense or
@@ -149,16 +139,14 @@ class ScenarioBatch {
   [[nodiscard]] std::vector<LeakageAdjust> scenario_adjust(std::size_t k) const;
   [[nodiscard]] int scenario_level(std::size_t k) const;
 
-  [[nodiscard]] const ScenarioBatchStats& stats() const noexcept { return stats_; }
   /// Sweep-level convergence trace; empty unless the construction options
-  /// set trace.convergence. Accumulates across solve_all calls, like stats().
+  /// set trace.convergence. Accumulates across solve_all calls.
   [[nodiscard]] const ScenarioBatchTrace& trace() const noexcept { return trace_; }
-  /// Backend cost counters with the batch counters merged in — the bench
-  /// JSON's one-stop view.
+  /// Backend cost counters with the batch counters (scenarios,
+  /// batched_matvecs, picard_iterations_total, masked_iterations_saved,
+  /// accumulated across solve_all calls) merged in — the bench JSON's
+  /// one-stop view.
   [[nodiscard]] thermal::BackendCostStats cost_stats() const;
-  [[nodiscard]] const InfluenceBuildStats& influence_build_stats() const noexcept {
-    return solver_.influence_build_stats();
-  }
   [[nodiscard]] const thermal::SolverBackend& backend() const noexcept {
     return solver_.backend();
   }
@@ -185,7 +173,9 @@ class ScenarioBatch {
   std::vector<double> adj_dvt0_;    ///< LeakageAdjust::delta_vt0 [V]
   std::vector<std::int32_t> level_index_;  ///< per-scenario V/f level
 
-  ScenarioBatchStats stats_;
+  /// Only the four batch counters are written; cost_stats() merges them
+  /// onto the backend's.
+  thermal::BackendCostStats stats_;
   ScenarioBatchTrace trace_;
 };
 

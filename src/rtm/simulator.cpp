@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "telemetry/counters.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ptherm::rtm {
 
@@ -137,14 +137,7 @@ RtmResult run_rtm(const device::Technology& tech, const floorplan::Floorplan& fp
   m.avg_temperature = temp_time_integral / (static_cast<double>(m.epochs) * epoch_dt);
   m.throughput_fraction = m.work_requested > 0.0 ? m.work_delivered / m.work_requested : 1.0;
   m.steps = m.epochs * opts.steps_per_epoch;
-  // Backend counters ride the registry like every other merge site (batch
-  // cost_stats, influence_stats_from): contribute under the catalog names,
-  // read the struct back field-complete. An exact round trip — the fields
-  // are integers — kept on the shared route so new counters cannot be
-  // dropped here silently.
-  telemetry::Registry reg;
-  telemetry::contribute(reg, transient.backend_stats);
-  m.backend_stats = telemetry::backend_cost_from(reg);
+  m.backend_stats = transient.backend_stats;
   return result;
 }
 

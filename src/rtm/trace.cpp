@@ -204,9 +204,12 @@ WorkloadTrace read_trace(std::istream& is) {
       parse_count(expect_token(is, "sample count"), "sample count", 0.0);
 
   WorkloadTrace trace(blocks, sample_dt);
-  std::vector<double> row(blocks);
+  // The row grows as values arrive, so memory follows the input actually
+  // read, never the header's claimed block count alone.
+  std::vector<double> row;
   std::string token;
   for (std::size_t s = 0; s < samples; ++s) {
+    row.clear();
     for (std::size_t b = 0; b < blocks; ++b) {
       // Hot loop (traces can run to millions of values): parse in place and
       // only build the "sample s, block b" context when something is wrong.
@@ -225,7 +228,7 @@ WorkloadTrace read_trace(std::istream& is) {
               << ", block " << b;
         malformed(where.str());
       }
-      row[b] = a;
+      row.push_back(a);
     }
     trace.append(row);
   }

@@ -28,38 +28,6 @@ static_assert(sizeof(BackendCostStats) == std::size(kBackendFields) * sizeof(lon
               "BackendCostStats and the telemetry counter catalog are out of sync: "
               "name every field in kBackendFields (telemetry/counters.cpp)");
 
-/// ScenarioBatchStats mirrors four backend counters by name.
-struct BatchCounterField {
-  const char* name;
-  long long core::ScenarioBatchStats::* member;
-};
-constexpr BatchCounterField kBatchFields[] = {
-    {"scenarios", &core::ScenarioBatchStats::scenarios},
-    {"batched_matvecs", &core::ScenarioBatchStats::batched_matvecs},
-    {"picard_iterations_total", &core::ScenarioBatchStats::picard_iterations_total},
-    {"masked_iterations_saved", &core::ScenarioBatchStats::masked_iterations_saved},
-};
-static_assert(sizeof(core::ScenarioBatchStats) == std::size(kBatchFields) * sizeof(long long),
-              "ScenarioBatchStats and the telemetry counter catalog are out of sync: "
-              "name every field in kBatchFields (telemetry/counters.cpp)");
-
-/// InfluenceBuildStats is a projection of the backend counters, so each
-/// field binds to the BACKEND counter name it projects.
-struct InfluenceCounterField {
-  const char* name;
-  long long core::InfluenceBuildStats::* member;
-};
-constexpr InfluenceCounterField kInfluenceFields[] = {
-    {"influence_columns", &core::InfluenceBuildStats::columns},
-    {"cg_iterations", &core::InfluenceBuildStats::cg_iterations},
-    {"modes", &core::InfluenceBuildStats::modes},
-    {"fft_calls", &core::InfluenceBuildStats::fft_calls},
-};
-static_assert(sizeof(core::InfluenceBuildStats) ==
-                  std::size(kInfluenceFields) * sizeof(long long),
-              "InfluenceBuildStats and the telemetry counter catalog are out of sync: "
-              "name every field in kInfluenceFields (telemetry/counters.cpp)");
-
 std::string prefixed(std::string_view prefix, const char* name) {
   std::string full;
   full.reserve(prefix.size() + std::char_traits<char>::length(name));
@@ -91,28 +59,6 @@ void contribute(Registry& reg, const thermal::BackendCostStats& stats,
 thermal::BackendCostStats backend_cost_from(const Registry& reg, std::string_view prefix) {
   thermal::BackendCostStats stats;
   for (const auto& field : kBackendFields) {
-    stats.*(field.member) = reg.counter(prefixed(prefix, field.name));
-  }
-  return stats;
-}
-
-void contribute(Registry& reg, const core::ScenarioBatchStats& stats,
-                std::string_view prefix) {
-  for (const auto& field : kBatchFields) {
-    reg.add(prefixed(prefix, field.name), stats.*(field.member));
-  }
-}
-
-void contribute(Registry& reg, const core::InfluenceBuildStats& stats,
-                std::string_view prefix) {
-  for (const auto& field : kInfluenceFields) {
-    reg.add(prefixed(prefix, field.name), stats.*(field.member));
-  }
-}
-
-core::InfluenceBuildStats influence_build_from(const Registry& reg, std::string_view prefix) {
-  core::InfluenceBuildStats stats;
-  for (const auto& field : kInfluenceFields) {
     stats.*(field.member) = reg.counter(prefixed(prefix, field.name));
   }
   return stats;

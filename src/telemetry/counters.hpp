@@ -1,12 +1,12 @@
-// The ONE counter catalog: every per-subsystem stat struct registers into
-// the telemetry registry through the descriptor tables here, under the
+// The ONE counter catalog: every cost counter lives in
+// thermal::BackendCostStats (the batch engine and the RTM loop report in it
+// too), and only the descriptor table here knows its field names, under the
 // "subsystem/metric" naming scheme ("backend/cg_iterations",
 // "spice/newton_iterations"). Merging stat sets is contribute() twice into
-// one registry and reading the struct back (backend_cost_from) — the
-// hand-copied field merges this replaces lived in ScenarioBatch::cost_stats,
-// run_rtm, and influence_stats_from, and each was one forgotten field away
-// from silently dropping a counter. Here, a static_assert pins each struct's
-// size to its table, so an unnamed field fails the build.
+// one registry and reading the struct back (backend_cost_from), never a
+// hand-copied field list one forgotten field away from silently dropping a
+// counter. A static_assert pins the struct's size to its table, so an
+// unnamed field fails the build.
 #pragma once
 
 #include <span>
@@ -14,8 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/influence.hpp"
-#include "core/scenario_batch.hpp"
 #include "spice/report.hpp"
 #include "telemetry/registry.hpp"
 #include "thermal/backend.hpp"
@@ -44,20 +42,6 @@ void contribute(Registry& reg, const thermal::BackendCostStats& stats,
 /// backend_cost_from(contribute(a) + contribute(b)) IS the field-complete
 /// merge of a and b.
 [[nodiscard]] thermal::BackendCostStats backend_cost_from(
-    const Registry& reg, std::string_view prefix = "backend/");
-
-/// Batch-engine counters contribute under the SAME backend/ names their
-/// BackendCostStats mirror fields carry, so merging batch stats onto backend
-/// stats is two contributes into one registry.
-void contribute(Registry& reg, const core::ScenarioBatchStats& stats,
-                std::string_view prefix = "backend/");
-
-/// Influence-build counters: the influence view is a PROJECTION of the
-/// backend counters, so its fields bind to the backend names
-/// (columns <-> influence_columns) and default to the backend/ prefix.
-void contribute(Registry& reg, const core::InfluenceBuildStats& stats,
-                std::string_view prefix = "backend/");
-[[nodiscard]] core::InfluenceBuildStats influence_build_from(
     const Registry& reg, std::string_view prefix = "backend/");
 
 /// SPICE solve counters from a SolveReport: spice/newton_iterations,

@@ -4,11 +4,11 @@
 // "spice/newton_iterations"), queryable as one snapshot and dumpable as
 // JSONL or CSV for bench/run_bench.sh and bench/compare_bench.py.
 //
-// The existing per-subsystem stat structs (thermal::BackendCostStats,
-// core::InfluenceBuildStats, core::ScenarioBatchStats, spice::SolveReport)
-// register into this through the descriptor catalog in telemetry/counters.hpp
-// — which is also how their merge rules are unified: merging two stat sets
-// is contribute() twice into one registry, not a hand-copied field list.
+// The per-subsystem stat structs (thermal::BackendCostStats, which the batch
+// engine and the RTM loop also report in, and spice::SolveReport) register
+// into this through the descriptor catalog in telemetry/counters.hpp — which
+// is also how merging is defined: merging two stat sets is contribute()
+// twice into one registry, not a hand-copied field list.
 //
 // Leaf module: standard library only.
 #pragma once

@@ -313,10 +313,10 @@ class SpectralBackend final : public SolverBackend {
     const SolverBackend& backend, std::span<const HeatSource> sources,
     std::span<const SurfaceSample> samples);
 
-// Batched column builders, shared between the backend adapters above and the
-// free-standing influence API in core/influence.hpp (which accepts
-// caller-owned solvers). Column j is the rise at every sample per watt in
-// source j; `stats`, when non-null, receives the cost of this build only.
+// Batched column builders behind the backend adapters above, callable on a
+// caller-owned solver (wrap the result in DenseInfluenceApply for `at()`).
+// Column j is the rise at every sample per watt in source j; `stats`, when
+// non-null, has the cost of this build added to it.
 
 [[nodiscard]] numerics::Matrix analytic_influence_columns(
     const Die& die, std::span<const HeatSource> sources, std::span<const SurfaceSample> samples,

@@ -319,21 +319,22 @@ TEST(BackendAgreement, InfluenceOperatorsAgreePairwise) {
   const auto samples = block_centre_samples(fp);
   const auto sources = fp.heat_sources(tech());
 
-  const auto analytic =
-      build_influence_analytic(fp.die(), sources, samples, thermal::ImageOptions{});
+  const InfluenceOperator analytic(
+      thermal::analytic_influence_columns(fp.die(), sources, samples, thermal::ImageOptions{}));
   thermal::FdmOptions fo;
   fo.nx = 24;
   fo.ny = 24;
   fo.nz = 12;
   const thermal::FdmThermalSolver fdm_solver(fp.die(), fo);
-  const auto fdm = build_influence_fdm(fdm_solver, sources, samples);
+  const InfluenceOperator fdm(thermal::fdm_influence_columns(fdm_solver, sources, samples, true));
   const thermal::SpectralThermalSolver sp_solver(fp.die(), {});
-  InfluenceBuildStats sp_stats;
-  const auto spectral = build_influence_spectral(sp_solver, sources, samples, &sp_stats);
+  thermal::BackendCostStats sp_stats;
+  const InfluenceOperator spectral(
+      thermal::spectral_influence_columns(sp_solver, sources, samples, &sp_stats));
 
   ASSERT_EQ(analytic.size(), fdm.size());
   ASSERT_EQ(analytic.size(), spectral.size());
-  EXPECT_EQ(sp_stats.columns, static_cast<int>(sources.size()));
+  EXPECT_EQ(sp_stats.influence_columns, static_cast<int>(sources.size()));
   EXPECT_EQ(sp_stats.modes, sp_solver.mode_count());
   for (std::size_t i = 0; i < analytic.size(); ++i) {
     for (std::size_t j = 0; j < analytic.size(); ++j) {
@@ -355,8 +356,8 @@ TEST(BackendAgreement, InfluenceOperatorsAgreePairwise) {
 TEST(BackendAgreement, SpectralInfluenceIsReciprocalOnSymmetricFloorplan) {
   const auto fp = small_plan();
   const thermal::SpectralThermalSolver solver(fp.die(), {});
-  const auto op =
-      build_influence_spectral(solver, fp.heat_sources(tech()), block_centre_samples(fp));
+  const InfluenceOperator op(thermal::spectral_influence_columns(
+      solver, fp.heat_sources(tech()), block_centre_samples(fp)));
   for (std::size_t i = 0; i < op.size(); ++i) {
     for (std::size_t j = i + 1; j < op.size(); ++j) {
       EXPECT_NEAR(op.at(i, j), op.at(j, i), 1e-9 * op.at(i, j))

@@ -86,7 +86,8 @@ TEST(Influence, AnalyticBatchedMatchesSeedPerColumnBuild) {
   const auto samples = block_centre_samples(fp);
   auto sources = fp.heat_sources(tech());
   const thermal::ImageOptions opts;
-  const auto batched = build_influence_analytic(fp.die(), sources, samples, opts);
+  const InfluenceOperator batched(
+      thermal::analytic_influence_columns(fp.die(), sources, samples, opts));
 
   // Seed semantics: one model holding every source, powers toggled per
   // column, every image (including the zero-power ones) swept per sample.
@@ -114,17 +115,19 @@ TEST(Influence, FdmBatchedWarmStartMatchesSeedColdJacobiBuild) {
   fast.ny = 24;
   fast.nz = 12;
   const thermal::FdmThermalSolver solver_ic(fp.die(), fast);
-  InfluenceBuildStats stats;
-  const auto batched = build_influence_fdm(solver_ic, sources, samples, true, &stats);
+  thermal::BackendCostStats stats;
+  const InfluenceOperator batched(
+      thermal::fdm_influence_columns(solver_ic, sources, samples, true, &stats));
 
   thermal::FdmOptions seed_opts = fast;
   seed_opts.cg.preconditioner = numerics::CgPreconditioner::Jacobi;
   const thermal::FdmThermalSolver solver_jacobi(fp.die(), seed_opts);
-  const auto reference = build_influence_fdm(solver_jacobi, sources, samples, false);
+  const InfluenceOperator reference(
+      thermal::fdm_influence_columns(solver_jacobi, sources, samples, false));
 
   const std::size_t n = sources.size();
   ASSERT_EQ(batched.size(), n);
-  EXPECT_EQ(stats.columns, static_cast<int>(n));
+  EXPECT_EQ(stats.influence_columns, static_cast<int>(n));
   EXPECT_GT(stats.cg_iterations, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -138,8 +141,8 @@ TEST(Influence, ReciprocityOnSymmetricFloorplanAnalytic) {
   // Identical block footprints + an even kernel make R[i][j] = R[j][i] exact
   // for the analytic build (down to floating-point noise).
   const auto fp = grid_plan(3);
-  const auto op =
-      build_influence_analytic(fp.die(), fp.heat_sources(tech()), block_centre_samples(fp));
+  const InfluenceOperator op(thermal::analytic_influence_columns(
+      fp.die(), fp.heat_sources(tech()), block_centre_samples(fp), {}));
   for (std::size_t i = 0; i < op.size(); ++i) {
     for (std::size_t j = i + 1; j < op.size(); ++j) {
       EXPECT_NEAR(op.at(i, j), op.at(j, i), 1e-9 * op.at(i, j))
@@ -157,7 +160,8 @@ TEST(Influence, ReciprocityOnSymmetricFloorplanFdm) {
   opts.ny = 24;
   opts.nz = 12;
   const thermal::FdmThermalSolver solver(fp.die(), opts);
-  const auto op = build_influence_fdm(solver, fp.heat_sources(tech()), block_centre_samples(fp));
+  const InfluenceOperator op(thermal::fdm_influence_columns(
+      solver, fp.heat_sources(tech()), block_centre_samples(fp), true));
   for (std::size_t i = 0; i < op.size(); ++i) {
     for (std::size_t j = i + 1; j < op.size(); ++j) {
       EXPECT_NEAR(op.at(i, j), op.at(j, i), 0.02 * op.at(i, j))
@@ -175,7 +179,8 @@ TEST(Influence, FdmBuildReportsWhyAColumnFailed) {
   opts.cg.max_iterations = 1;  // no solve can finish in one iteration
   const thermal::FdmThermalSolver solver(fp.die(), opts);
   try {
-    (void)build_influence_fdm(solver, fp.heat_sources(tech()), block_centre_samples(fp));
+    (void)thermal::fdm_influence_columns(solver, fp.heat_sources(tech()),
+                                         block_centre_samples(fp), true);
     FAIL() << "expected PreconditionError";
   } catch (const PreconditionError& e) {
     const std::string what = e.what();
@@ -189,9 +194,11 @@ TEST(Influence, BuildersRejectMismatchedSamples) {
   const auto fp = grid_plan(2);
   const auto sources = fp.heat_sources(tech());
   const std::vector<InfluenceSample> too_few = {{0.5e-3, 0.5e-3}};
-  EXPECT_THROW((void)build_influence_analytic(fp.die(), sources, too_few), PreconditionError);
+  EXPECT_THROW((void)thermal::analytic_influence_columns(fp.die(), sources, too_few, {}),
+               PreconditionError);
   const thermal::FdmThermalSolver solver(fp.die(), {});
-  EXPECT_THROW((void)build_influence_fdm(solver, sources, too_few), PreconditionError);
+  EXPECT_THROW((void)thermal::fdm_influence_columns(solver, sources, too_few, true),
+               PreconditionError);
 }
 
 }  // namespace

@@ -169,6 +169,9 @@ TEST(TraceIo, MalformedInputsThrowIoError) {
   expect_bad("ptherm-trace v1\nblocks 2\nsample_dt 1e-3\nsamples 1\n0.5 oops\n");  // bad value
   expect_bad("ptherm-trace v1\nblocks 1\nsample_dt 1e-3\nsamples 1\n-0.5\n");  // negative
   expect_bad("ptherm-trace v1\nblocks 1\nsample_dt 1e-3\nsamples 1\n0.5\n0.7\n");  // trailing
+  // A huge declared block count with two values must fail on the missing
+  // values, without first allocating a row of the declared size.
+  expect_bad("ptherm-trace v1\nblocks 1000000000\nsample_dt 1e-3\nsamples 1\n0.5 0.7\n");
 }
 
 TEST(TraceIo, WritingADefaultConstructedTraceIsAPreconditionError) {

@@ -163,7 +163,7 @@ TEST(ScenarioBatch, ConvergenceMasksDropEasyScenariosEarly) {
   }
   ASSERT_LT(min_it, max_it) << "test needs scenarios with different speeds";
 
-  const auto& stats = batch.stats();
+  const auto stats = batch.cost_stats();
   EXPECT_EQ(stats.scenarios, 3);
   // All three rode one chunk, so the blocked sweeps ran to the slowest
   // scenario's count and the masks saved the difference.

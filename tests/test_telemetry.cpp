@@ -303,31 +303,6 @@ TEST(CounterCatalog, MergingIsContributeTwice) {
   }
 }
 
-TEST(CounterCatalog, InfluenceViewProjectsBackendNames) {
-  telemetry::Registry reg;
-  telemetry::contribute(reg, distinct_stats(50));
-  const auto view = telemetry::influence_build_from(reg);
-  const auto src = distinct_stats(50);
-  EXPECT_EQ(view.columns, src.influence_columns);
-  EXPECT_EQ(view.cg_iterations, src.cg_iterations);
-  EXPECT_EQ(view.modes, src.modes);
-  EXPECT_EQ(view.fft_calls, src.fft_calls);
-}
-
-TEST(CounterCatalog, BatchStatsShareTheBackendNames) {
-  core::ScenarioBatchStats batch;
-  batch.scenarios = 3;
-  batch.batched_matvecs = 17;
-  batch.picard_iterations_total = 90;
-  batch.masked_iterations_saved = 12;
-  telemetry::Registry reg;
-  telemetry::contribute(reg, batch);
-  EXPECT_EQ(reg.counter("backend/scenarios"), 3);
-  EXPECT_EQ(reg.counter("backend/batched_matvecs"), 17);
-  EXPECT_EQ(reg.counter("backend/picard_iterations_total"), 90);
-  EXPECT_EQ(reg.counter("backend/masked_iterations_saved"), 12);
-}
-
 TEST(CounterCatalog, SpiceReportContributesUnderSpicePrefix) {
   spice::SolveReport report;
   report.newton_iterations = 23;
